@@ -51,13 +51,13 @@ Result run(const Config& config, std::size_t scale_count) {
   std::size_t top1_total = 0;
   for (const auto& base : bases) {
     {
-      const auto report = model.analyze(base);
+      const auto report = analyze(model, base);
       ++level1_total;
       if (!report.parse_failed() && report.level1.regular()) ++level1_correct;
     }
     const auto technique = transform::all_techniques()[rng.index(10)];
     const auto sample = analysis::make_transformed_sample(base, technique, rng);
-    const auto report = model.analyze(sample.source);
+    const auto report = analyze(model, sample.source);
     ++level1_total;
     if (!report.parse_failed() && report.level1.transformed()) ++level1_correct;
 

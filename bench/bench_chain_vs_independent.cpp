@@ -44,13 +44,13 @@ Scores evaluate(bool use_chain, std::size_t scale_count) {
 
   for (const auto& base : bases) {
     {
-      const auto report = model.analyze(base);
+      const auto report = analyze(model, base);
       ++level1_total;
       if (!report.parse_failed() && report.level1.regular()) ++level1_correct;
     }
     const auto technique = transform::all_techniques()[rng.index(10)];
     const auto sample = analysis::make_transformed_sample(base, technique, rng);
-    const auto report = model.analyze(sample.source);
+    const auto report = analyze(model, sample.source);
     ++level1_total;
     if (!report.parse_failed() && report.level1.transformed()) ++level1_correct;
 

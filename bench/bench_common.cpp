@@ -45,6 +45,13 @@ const analysis::TransformationAnalyzer& analyzer() {
   return *kAnalyzer;
 }
 
+analysis::ScriptReport analyze(const analysis::TransformationAnalyzer& model,
+                               std::string source) {
+  return analysis::AnalyzerService(model)
+      .analyze(analysis::AnalyzeRequest::for_source(std::move(source)))
+      .outcome.report;
+}
+
 std::vector<std::string> held_out_regular(std::size_t count,
                                           std::uint64_t seed) {
   analysis::CorpusSpec spec;

@@ -23,6 +23,10 @@ std::size_t scaled(std::size_t base);
 // Builds and trains the shared analyzer (cached per process).
 const analysis::TransformationAnalyzer& analyzer();
 
+// One script through AnalyzerService::analyze; the report of its outcome.
+analysis::ScriptReport analyze(const analysis::TransformationAnalyzer& model,
+                               std::string source);
+
 // Fresh regular corpus disjoint from training (seeded differently).
 std::vector<std::string> held_out_regular(std::size_t count,
                                           std::uint64_t seed);

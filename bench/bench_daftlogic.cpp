@@ -21,7 +21,7 @@ int main() {
   std::vector<double> average_confidence(transform::kTechniqueCount, 0.0);
   for (const std::string& base : bases) {
     const std::string packed = transform::pack(base, rng);
-    const auto report = model.analyze(packed);
+    const auto report = analyze(model, packed);
     if (report.parse_failed()) continue;
     if (report.level1.transformed()) ++transformed;
     for (std::size_t i = 0; i < report.technique_confidence.size(); ++i) {

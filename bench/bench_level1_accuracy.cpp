@@ -20,7 +20,7 @@ int main() {
   const auto regular = held_out_regular(per_class, 0xa11ce);
   std::size_t regular_correct = 0;
   for (const auto& source : regular) {
-    if (model.analyze(source).level1.regular()) ++regular_correct;
+    if (analyze(model, source).level1.regular()) ++regular_correct;
   }
 
   // Minified pool: the two techniques represented equally.
@@ -44,14 +44,14 @@ int main() {
     {
       const Technique technique = kMinified[i % 2];
       const auto sample = analysis::make_transformed_sample(base, technique, rng);
-      const auto report = model.analyze(sample.source);
+      const auto report = analyze(model, sample.source);
       ++minified_total;
       if (report.level1.minified()) ++minified_correct;
     }
     {
       const Technique technique = kObfuscated[i % 8];
       const auto sample = analysis::make_transformed_sample(base, technique, rng);
-      const auto report = model.analyze(sample.source);
+      const auto report = analyze(model, sample.source);
       ++obfuscated_total;
       if (report.level1.obfuscated() || report.level1.minified()) {
         // Count via transformed below; obfuscated-class accuracy separately:
@@ -69,7 +69,7 @@ int main() {
         (i % 2 == 0) ? kMinified[i % 2] : kObfuscated[i % 8];
     const auto sample = analysis::make_transformed_sample(base, technique, rng);
     ++transformed_total;
-    if (model.analyze(sample.source).level1.transformed()) {
+    if (analyze(model, sample.source).level1.transformed()) {
       ++transformed_correct;
     }
   }
@@ -101,7 +101,7 @@ int main() {
   const auto raychev = held_out_regular(scaled(150), 0x4a1c);
   std::size_t raychev_correct = 0;
   for (const auto& source : raychev) {
-    if (model.analyze(source).level1.regular()) ++raychev_correct;
+    if (analyze(model, source).level1.regular()) ++raychev_correct;
   }
   print_row("regular corpus check (Raychev et al.)", 98.65,
             100.0 * static_cast<double>(raychev_correct) /

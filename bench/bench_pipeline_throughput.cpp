@@ -1,5 +1,5 @@
 // Engineering microbenchmarks: throughput of every pipeline stage
-// (tokenize, parse, CFG, data flow, n-grams, hand-picked features,
+// (tokenize, parse, CFG, data flow, feature extraction,
 // level-1/level-2 inference, and each transformer), plus the batch
 // engine's scaling axis:
 //
@@ -79,24 +79,6 @@ void BM_DataFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_DataFlow);
 
-void BM_NgramFeatures(benchmark::State& state) {
-  const ParseResult parsed = parse_program(sample_source());
-  features::NgramConfig config;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        features::ngram_features(parsed.ast.root(), config));
-  }
-}
-BENCHMARK(BM_NgramFeatures);
-
-void BM_HandpickedFeatures(benchmark::State& state) {
-  const ScriptAnalysis analysis = analyze_script(sample_source());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(features::handpicked_features(analysis));
-  }
-}
-BENCHMARK(BM_HandpickedFeatures);
-
 void BM_FullFeatureExtraction(benchmark::State& state) {
   features::FeatureConfig config;
   for (auto _ : state) {
@@ -108,20 +90,9 @@ void BM_FullFeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FullFeatureExtraction);
 
-// Post-parse fast-path microbenchmarks, paired for direct comparison on
-// the same analyzed script / feature row: the legacy multi-walk extractor
-// vs the fused single-pass extractor, and the reference per-tree walk vs
-// compiled-forest inference (both detector levels per iteration).
-void BM_LegacyExtraction(benchmark::State& state) {
-  features::FeatureConfig config;
-  const ScriptAnalysis analysis =
-      analyze_script(sample_source(), config.analysis);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(features::extract(analysis, config));
-  }
-}
-BENCHMARK(BM_LegacyExtraction);
-
+// Post-parse microbenchmarks on one analyzed script / feature row: the
+// single-pass extractor, and compiled-forest inference (both detector
+// levels per iteration).
 void BM_FusedExtraction(benchmark::State& state) {
   features::FeatureConfig config;
   const ScriptAnalysis analysis =
@@ -134,27 +105,14 @@ void BM_FusedExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedExtraction);
 
-void BM_ReferenceInference(benchmark::State& state) {
-  const auto& model = jst::bench::analyzer();
-  const features::FeatureConfig& config = model.options().detector.features;
-  const ScriptAnalysis analysis =
-      analyze_script(sample_source(), config.analysis);
-  const std::vector<float> row = features::extract(analysis, config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.level1().reference_classifier().predict_proba(row));
-    benchmark::DoNotOptimize(
-        model.level2().reference_classifier().predict_proba(row));
-  }
-}
-BENCHMARK(BM_ReferenceInference);
-
 void BM_CompiledInference(benchmark::State& state) {
   const auto& model = jst::bench::analyzer();
   const features::FeatureConfig& config = model.options().detector.features;
   const ScriptAnalysis analysis =
       analyze_script(sample_source(), config.analysis);
-  const std::vector<float> row = features::extract(analysis, config);
+  features::ExtractScratch extract_scratch;
+  const std::vector<float> row =
+      features::extract_into(analysis, config, extract_scratch);
   ml::PredictScratch scratch;
   std::vector<double> proba;
   for (auto _ : state) {
@@ -166,9 +124,10 @@ void BM_CompiledInference(benchmark::State& state) {
 BENCHMARK(BM_CompiledInference);
 
 void BM_AnalyzeEndToEnd(benchmark::State& state) {
-  const auto& model = jst::bench::analyzer();
+  const analysis::AnalyzerService service(jst::bench::analyzer());
+  const auto request = analysis::AnalyzeRequest::for_source(sample_source());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.analyze(sample_source()));
+    benchmark::DoNotOptimize(service.analyze(request));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(sample_source().size()));

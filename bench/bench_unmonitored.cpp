@@ -25,19 +25,19 @@ int main() {
   std::size_t integer_flagged = 0;
   std::size_t both_flagged = 0;
   for (const std::string& base : bases) {
-    if (model.analyze(base).level1.regular()) ++regular_as_regular;
+    if (analyze(model, base).level1.regular()) ++regular_as_regular;
 
     const std::string field_ref =
         transform::obfuscate_field_references(base, rng);
-    if (model.analyze(field_ref).level1.transformed()) ++field_ref_flagged;
+    if (analyze(model, field_ref).level1.transformed()) ++field_ref_flagged;
 
     const std::string integers = transform::obfuscate_integers(base, rng);
-    if (model.analyze(integers).level1.transformed()) ++integer_flagged;
+    if (analyze(model, integers).level1.transformed()) ++integer_flagged;
 
     Rng combo_rng(rng.next());
     const std::string both = transform::obfuscate_integers(
         transform::obfuscate_field_references(base, combo_rng), combo_rng);
-    if (model.analyze(both).level1.transformed()) ++both_flagged;
+    if (analyze(model, both).level1.transformed()) ++both_flagged;
   }
 
   const auto pct = [&](std::size_t count) {

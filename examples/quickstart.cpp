@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "analysis/pipeline.h"
+#include "analysis/service.h"
 #include "transform/transform.h"
 
 int main() {
@@ -46,11 +47,14 @@ console.log(formatPrice(computeTotal([{ price: 10, quantity: 3 }], "de")));
   const std::string obfuscated = transform::apply_technique(
       transform::Technique::kControlFlowFlattening, regular, rng);
 
-  // 3. Classify both.
+  // 3. Classify both through the request API.
+  const analysis::AnalyzerService service(analyzer);
   for (const auto& [name, source] :
        {std::pair<const char*, const std::string&>{"regular", regular},
         std::pair<const char*, const std::string&>{"obfuscated", obfuscated}}) {
-    const analysis::ScriptReport report = analyzer.analyze(source);
+    const analysis::ScriptReport report =
+        service.analyze(analysis::AnalyzeRequest::for_source(source))
+            .outcome.report;
     std::printf("\n--- %s script (%zu bytes) ---\n", name, source.size());
     std::printf("level 1: p(regular)=%.2f p(minified)=%.2f p(obfuscated)=%.2f"
                 " => %s\n",

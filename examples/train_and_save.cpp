@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "analysis/pipeline.h"
+#include "analysis/service.h"
 #include "ast/ast_json.h"
 #include "parser/parser.h"
 #include "transform/transform.h"
@@ -54,7 +55,10 @@ function fetchScores(user) {
 )JS";
   Rng rng(11);
   const std::string packed = transform::pack(script, rng);
-  const auto report = restored.analyze(packed);
+  const analysis::ScriptReport report =
+      analysis::AnalyzerService(restored)
+          .analyze(analysis::AnalyzeRequest::for_source(packed))
+          .outcome.report;
   std::printf("packed sample => transformed=%s (p_min=%.2f p_obf=%.2f)\n",
               report.level1.transformed() ? "yes" : "no",
               report.level1.p_minified, report.level1.p_obfuscated);

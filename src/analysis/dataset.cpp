@@ -1,6 +1,7 @@
 #include "analysis/dataset.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "corpus/snippets.h"
 #include "support/thread_pool.h"
@@ -143,11 +144,20 @@ FeatureTable extract_features(std::vector<Sample> samples,
   FeatureTable table;
   table.samples = std::move(samples);
   table.rows.resize(table.samples.size());
-  // Each sample parses + extracts independently; rows land at their own
-  // index, so the table is identical for any thread count.
-  support::run_parallel(0, table.samples.size(), [&](std::size_t i) {
-    table.rows[i] =
-        features::extract_from_source(table.samples[i].source, config);
+  // Each sample parses + extracts independently through the serving
+  // extractor. Every lane claims samples one at a time and reuses its own
+  // scratch, which is freed when training moves on (a thread_local would
+  // keep each worker's largest training script resident while serving);
+  // rows land at their own index, so the table is identical for any
+  // thread count.
+  const std::size_t lanes = support::resolve_threads(0);
+  std::atomic<std::size_t> next{0};
+  support::run_parallel(lanes, lanes, [&](std::size_t) {
+    features::ExtractScratch scratch;
+    for (std::size_t i = next++; i < table.samples.size(); i = next++) {
+      table.rows[i] = features::extract_from_source(table.samples[i].source,
+                                                    config, scratch);
+    }
   });
   return table;
 }

@@ -14,25 +14,6 @@ std::unique_ptr<ml::MultiLabelClassifier> make_classifier(bool chain) {
   return std::make_unique<ml::BinaryRelevance>();
 }
 
-// Fallback scratch for the conveniences that do not take one.
-ml::PredictScratch& thread_scratch() {
-  static thread_local ml::PredictScratch scratch;
-  return scratch;
-}
-
-// Compiles the fitted classifier for the fast prediction path. A model
-// that exceeds the compact 16-bit node-table limits (far beyond anything
-// jstraced trains, but loadable from a foreign file) stays uncompiled
-// and predicts through the bit-identical reference path instead.
-ml::CompiledEnsemble compile_or_fallback(
-    const ml::MultiLabelClassifier& classifier) {
-  try {
-    return ml::CompiledEnsemble::compile(classifier);
-  } catch (const ModelError&) {
-    return {};
-  }
-}
-
 }  // namespace
 
 Level1Detector::Level1Detector(DetectorConfig config)
@@ -45,31 +26,23 @@ void Level1Detector::fit(const ml::Matrix& data, const ml::LabelMatrix& labels,
     throw ModelError("Level1Detector::fit: expected 3 label columns");
   }
   classifier_->fit(data, labels, config_.forest, rng);
-  compiled_ = compile_or_fallback(*classifier_);
+  compiled_ = ml::CompiledEnsemble::compile(*classifier_);
 }
 
 Level1Detector::Prediction Level1Detector::predict(
     std::span<const float> row, ml::PredictScratch& scratch) const {
+  compiled_.predict_proba(row, scratch, scratch.proba);
   Prediction prediction;
-  if (compiled_.compiled()) {
-    compiled_.predict_proba(row, scratch, scratch.proba);
-    prediction.p_regular = scratch.proba[0];
-    prediction.p_minified = scratch.proba[1];
-    prediction.p_obfuscated = scratch.proba[2];
-    return prediction;
-  }
-  // Untrained (or not yet compiled) — the reference classifier reports
-  // the canonical error.
-  const std::vector<double> probabilities = classifier_->predict_proba(row);
-  prediction.p_regular = probabilities[0];
-  prediction.p_minified = probabilities[1];
-  prediction.p_obfuscated = probabilities[2];
+  prediction.p_regular = scratch.proba[0];
+  prediction.p_minified = scratch.proba[1];
+  prediction.p_obfuscated = scratch.proba[2];
   return prediction;
 }
 
 Level1Detector::Prediction Level1Detector::predict(
     std::span<const float> row) const {
-  return predict(row, thread_scratch());
+  ml::PredictScratch scratch;
+  return predict(row, scratch);
 }
 
 void Level1Detector::save(std::ostream& out, ml::ModelEncoding encoding) const {
@@ -80,7 +53,7 @@ void Level1Detector::save(std::ostream& out, ml::ModelEncoding encoding) const {
 void Level1Detector::load(std::istream& in) {
   check_model_header(in, make_model_header("level1", config_));
   classifier_->load(in);
-  compiled_ = compile_or_fallback(*classifier_);
+  compiled_ = ml::CompiledEnsemble::compile(*classifier_);
 }
 
 Level2Detector::Level2Detector(DetectorConfig config)
@@ -93,51 +66,44 @@ void Level2Detector::fit(const ml::Matrix& data, const ml::LabelMatrix& labels,
     throw ModelError("Level2Detector::fit: expected 10 label columns");
   }
   classifier_->fit(data, labels, config_.forest, rng);
-  compiled_ = compile_or_fallback(*classifier_);
+  compiled_ = ml::CompiledEnsemble::compile(*classifier_);
 }
 
 void Level2Detector::predict_proba(std::span<const float> row,
                                    ml::PredictScratch& scratch,
                                    std::vector<double>& out) const {
-  if (compiled_.compiled()) {
-    compiled_.predict_proba(row, scratch, out);
-    return;
-  }
-  out = classifier_->predict_proba(row);
+  compiled_.predict_proba(row, scratch, out);
 }
 
 std::vector<double> Level2Detector::predict_proba(
     std::span<const float> row) const {
+  ml::PredictScratch scratch;
   std::vector<double> out;
-  predict_proba(row, thread_scratch(), out);
+  predict_proba(row, scratch, out);
   return out;
+}
+
+std::vector<transform::Technique> Level2Detector::select_techniques(
+    std::span<const double> confidence) const {
+  return techniques_from_indices(ml::top_k_labels(
+      confidence, config_.level2_topk, config_.level2_threshold));
 }
 
 std::vector<transform::Technique> Level2Detector::predict_techniques(
     std::span<const float> row, ml::PredictScratch& scratch) const {
-  if (compiled_.compiled()) {
-    compiled_.predict_topk_thresholded(row, config_.level2_topk,
-                                       config_.level2_threshold, scratch,
-                                       scratch.picked);
-    return techniques_from_indices(scratch.picked);
-  }
-  return techniques_from_indices(classifier_->predict_topk_thresholded(
-      row, config_.level2_topk, config_.level2_threshold));
+  predict_proba(row, scratch, scratch.proba);
+  return select_techniques(scratch.proba);
 }
 
 std::vector<transform::Technique> Level2Detector::predict_techniques(
     std::span<const float> row) const {
-  return predict_techniques(row, thread_scratch());
+  ml::PredictScratch scratch;
+  return predict_techniques(row, scratch);
 }
 
 std::vector<transform::Technique> Level2Detector::predict_topk(
     std::span<const float> row, std::size_t k) const {
-  if (compiled_.compiled()) {
-    ml::PredictScratch& scratch = thread_scratch();
-    compiled_.predict_topk(row, k, scratch, scratch.picked);
-    return techniques_from_indices(scratch.picked);
-  }
-  return techniques_from_indices(classifier_->predict_topk(row, k));
+  return techniques_from_indices(ml::top_k_labels(predict_proba(row), k));
 }
 
 void Level2Detector::save(std::ostream& out, ml::ModelEncoding encoding) const {
@@ -148,7 +114,7 @@ void Level2Detector::save(std::ostream& out, ml::ModelEncoding encoding) const {
 void Level2Detector::load(std::istream& in) {
   check_model_header(in, make_model_header("level2", config_));
   classifier_->load(in);
-  compiled_ = compile_or_fallback(*classifier_);
+  compiled_ = ml::CompiledEnsemble::compile(*classifier_);
 }
 
 }  // namespace jst::analysis

@@ -43,15 +43,15 @@ class Level1Detector {
     bool regular() const { return !transformed(); }
   };
 
-  // Predictions route through the compiled fast path (built at the end
-  // of fit()/load()); the scratch overload is allocation-free in steady
+  // Predictions run on the compiled ensemble (built at the end of
+  // fit()/load()); the scratch overload is allocation-free in steady
   // state. Both are bit-identical to the reference classifier.
   Prediction predict(std::span<const float> row) const;
   Prediction predict(std::span<const float> row,
                      ml::PredictScratch& scratch) const;
   const DetectorConfig& config() const { return config_; }
 
-  // The uncompiled classifier (equivalence-test oracle) and its compiled
+  // The fitted classifier (equivalence-test oracle) and its compiled
   // counterpart. compiled().compiled() is false until fit() or load().
   const ml::MultiLabelClassifier& reference_classifier() const {
     return *classifier_;
@@ -87,12 +87,18 @@ class Level2Detector {
   void predict_proba(std::span<const float> row, ml::PredictScratch& scratch,
                      std::vector<double>& out) const;
 
-  // Paper's final rule: the top-k most confident techniques above the
-  // threshold.
+  // Paper's final rule applied to confidences already computed by
+  // predict_proba: the top-k most confident techniques above the
+  // threshold (DetectorConfig::level2_topk / level2_threshold).
+  std::vector<transform::Technique> select_techniques(
+      std::span<const double> confidence) const;
+
+  // predict_proba followed by select_techniques.
   std::vector<transform::Technique> predict_techniques(
       std::span<const float> row) const;
   std::vector<transform::Technique> predict_techniques(
       std::span<const float> row, ml::PredictScratch& scratch) const;
+  // The k most confident techniques, no threshold.
   std::vector<transform::Technique> predict_topk(std::span<const float> row,
                                                  std::size_t k) const;
 

@@ -386,21 +386,6 @@ void TransformationAnalyzer::load(std::istream& in) {
   trained_ = true;
 }
 
-ScriptReport TransformationAnalyzer::analyze(std::string_view source) const {
-  return analyze_outcome(source).report;
-}
-
-ScriptOutcome TransformationAnalyzer::analyze_outcome(
-    std::string_view source) const {
-  return analyze_outcome(source, ResourceLimits{});
-}
-
-ScriptOutcome TransformationAnalyzer::analyze_outcome(
-    std::string_view source, const ResourceLimits& limits) const {
-  static thread_local ScriptScratch scratch;
-  return analyze_outcome(source, limits, scratch);
-}
-
 // The resource-governed per-script pipeline (DESIGN.md §10). Hard stages
 // (lex/parse/CFG) throw BudgetExceeded, mapped to a budget status here;
 // soft stages (data flow, features, inference) degrade: the outcome keeps
@@ -563,7 +548,7 @@ ScriptOutcome TransformationAnalyzer::analyze_outcome(
                           outcome.report.technique_confidence);
     if (outcome.report.level1.transformed()) {
       outcome.report.techniques =
-          level2_.predict_techniques(*row, scratch.predict);
+          level2_.select_techniques(outcome.report.technique_confidence);
     }
   }
   outcome.timing.inference_ms = ms_since(inference_start);

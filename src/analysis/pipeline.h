@@ -121,7 +121,7 @@ struct ScriptOutcome {
 // Per-worker reusable state for the analyze fast path: the fused
 // feature-extraction scratch (counters, traversal stack, n-gram ring,
 // feature row, data-flow workspace) plus the compiled-inference scratch
-// (chain row, probability and ranking buffers). One instance per batch
+// (chain row and probability buffer). One instance per batch
 // worker thread makes the post-parse pipeline allocation-free in steady
 // state; reuse and footprint are reported via jst_scratch_reuse_total
 // and jst_scratch_peak_bytes.
@@ -164,22 +164,15 @@ class TransformationAnalyzer {
   void save(std::ostream& out) const;
   void load(std::istream& in);
 
-  // Full per-script report; status == kParseError on parse errors.
-  ScriptReport analyze(std::string_view source) const;
-
-  // analyze() plus parse diagnostics and per-stage timings — the unit of
-  // work AnalyzerService fans out over the thread pool. The `limits`
-  // overload governs the call with a per-script Budget: tripped ceilings
-  // surface as budget statuses or degraded outcomes, never as exceptions
-  // (a default-constructed ResourceLimits governs nothing).
-  ScriptOutcome analyze_outcome(std::string_view source) const;
-  ScriptOutcome analyze_outcome(std::string_view source,
-                                const ResourceLimits& limits) const;
-  // The fast-path overload the batch workers use: feature extraction and
-  // inference run through `scratch`, whose buffer capacities persist
-  // across scripts (allocation-free steady state). Results are
-  // bit-identical to the scratch-less overloads, which delegate here with
-  // a per-thread scratch.
+  // The per-script pipeline — the unit of work AnalyzerService fans out
+  // over the thread pool; callers outside the service go through
+  // AnalyzerService::analyze. `limits` governs the call with a per-script
+  // Budget: tripped ceilings surface as budget statuses or degraded
+  // outcomes, never as exceptions (a default-constructed ResourceLimits
+  // governs nothing). Feature extraction and inference run through
+  // `scratch`, whose buffer capacities persist across scripts
+  // (allocation-free steady state); a ParseError surfaces as
+  // status == kParseError.
   ScriptOutcome analyze_outcome(std::string_view source,
                                 const ResourceLimits& limits,
                                 ScriptScratch& scratch) const;

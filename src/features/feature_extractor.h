@@ -23,30 +23,28 @@ struct FeatureConfig {
 // Total dimensionality under `config`.
 std::size_t feature_dimension(const FeatureConfig& config);
 
-// Names aligned with extract()'s output (hand-picked names, then
+// Names aligned with extract_into()'s output (hand-picked names, then
 // "ngram4_<bucket>").
 std::vector<std::string> feature_names(const FeatureConfig& config);
 
-// Extracts the feature vector from an already-analyzed script.
-//
-// Reference implementation: separate traversals for the hand-picked
-// counters, tree depth, tree breadth, and the n-gram kind sequence. Kept
-// as the oracle the fused fast path is equivalence-tested against.
-std::vector<float> extract(const ScriptAnalysis& analysis,
-                           const FeatureConfig& config);
-
-// Fused fast path: produces a vector bit-identical to extract() in ONE
-// pre-order traversal — the hand-picked counters, depth/breadth tracking,
+// Extracts the feature vector from an already-analyzed script in ONE
+// pre-order traversal: the hand-picked counters, depth/breadth tracking,
 // and an incremental FNV-1a ring of partial n-gram hash states all
 // advance per node, with no materialized kind sequence. All working
 // storage lives in `scratch` (capacities survive across calls, so steady
 // state allocates nothing). Returns a view of scratch.row that stays
-// valid until the next call with the same scratch.
+// valid until the next call with the same scratch. Training and serving
+// both extract through here.
 const std::vector<float>& extract_into(const ScriptAnalysis& analysis,
                                        const FeatureConfig& config,
                                        ExtractScratch& scratch);
 
-// Parses + analyzes + extracts in one call. Throws ParseError.
+// Parses + analyzes + extracts in one call, reusing `scratch`'s data-flow
+// and CFG workspaces for the analysis. Throws ParseError.
+std::vector<float> extract_from_source(std::string_view source,
+                                       const FeatureConfig& config,
+                                       ExtractScratch& scratch);
+// Same, with a private scratch.
 std::vector<float> extract_from_source(std::string_view source,
                                        const FeatureConfig& config);
 

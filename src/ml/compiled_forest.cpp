@@ -1,7 +1,7 @@
 #include "ml/compiled_forest.h"
 
-#include <algorithm>
-#include <numeric>
+#include <limits>
+#include <string>
 
 #include "support/error.h"
 
@@ -18,11 +18,12 @@ CompiledForest CompiledForest::compile(const RandomForest& forest) {
   for (const DecisionTree& tree : forest.trees()) {
     total_nodes += tree.node_count();
   }
+  if (total_nodes > std::numeric_limits<std::uint32_t>::max()) {
+    throw ModelError("CompiledForest::compile: forest exceeds 2^32 nodes");
+  }
   out.feature_.reserve(total_nodes);
   out.threshold_.reserve(total_nodes);
-  out.left_.reserve(total_nodes);
   out.right_.reserve(total_nodes);
-  out.leaf_value_.reserve(total_nodes);
   out.roots_.reserve(forest.tree_count());
 
   for (const DecisionTree& tree : forest.trees()) {
@@ -30,38 +31,34 @@ CompiledForest CompiledForest::compile(const RandomForest& forest) {
     if (nodes.empty()) {
       throw ModelError("CompiledForest::compile: empty tree");
     }
-    // The compact table stores feature indices and child offsets as
-    // int16. Tree-local indices stay below nodes.size(), so offsets fit
-    // whenever the tree has at most 32768 nodes; jstraced-trained trees
-    // are orders of magnitude below either bound. Foreign models that
-    // exceed it are rejected (callers fall back to the reference path).
-    if (nodes.size() > 32768) {
-      throw ModelError(
-          "CompiledForest::compile: tree too large for compact node table");
-    }
-    const auto base = static_cast<std::int32_t>(out.feature_.size());
-    out.roots_.push_back(static_cast<std::uint32_t>(base));
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const DecisionTree::TreeNode& node = nodes[i];
-      const auto self = static_cast<std::int32_t>(i);
-      if (node.feature > 32767) {
-        throw ModelError(
-            "CompiledForest::compile: feature index exceeds compact layout");
+    const auto base = static_cast<std::uint32_t>(out.feature_.size());
+    out.roots_.push_back(base);
+    const auto count = static_cast<std::int64_t>(nodes.size());
+    for (std::int64_t self = 0; self < count; ++self) {
+      const DecisionTree::TreeNode& node =
+          nodes[static_cast<std::size_t>(self)];
+      if (node.feature < 0) {
+        out.feature_.push_back(-1);
+        out.threshold_.push_back(node.value);
+        out.right_.push_back(0);  // never followed
+        continue;
       }
-      out.feature_.push_back(
-          node.feature >= 0 ? static_cast<std::int16_t>(node.feature)
-                            : std::int16_t{-1});
+      // Every hop moves strictly forward inside the tree, so a walk from
+      // the root ends at a leaf within the table.
+      const auto reject = [self](const char* what) {
+        throw ModelError("CompiledForest::compile: node " +
+                         std::to_string(self) + ": " + what);
+      };
+      if (node.left != self + 1) reject("left child is not the next node");
+      if (node.right <= self || node.right >= count) {
+        reject("right child out of range");
+      }
+      if (static_cast<std::size_t>(node.feature) >= out.feature_count_) {
+        reject("feature index out of range");
+      }
+      out.feature_.push_back(node.feature);
       out.threshold_.push_back(node.threshold);
-      // Children are stored as offsets relative to the node itself; the
-      // source indices are tree-local, so self-relative offsets survive
-      // the concatenation unchanged. Leaves keep 0 (never followed).
-      out.left_.push_back(
-          node.feature >= 0 ? static_cast<std::int16_t>(node.left - self)
-                            : std::int16_t{0});
-      out.right_.push_back(
-          node.feature >= 0 ? static_cast<std::int16_t>(node.right - self)
-                            : std::int16_t{0});
-      out.leaf_value_.push_back(node.value);
+      out.right_.push_back(base + static_cast<std::uint32_t>(node.right));
     }
   }
   return out;
@@ -69,20 +66,16 @@ CompiledForest CompiledForest::compile(const RandomForest& forest) {
 
 double CompiledForest::predict_tree(std::uint32_t root,
                                     std::span<const float> row) const {
-  const std::int16_t* feature = feature_.data();
+  const std::int32_t* feature = feature_.data();
   const float* threshold = threshold_.data();
-  const std::int16_t* left = left_.data();
-  const std::int16_t* right = right_.data();
+  const std::uint32_t* right = right_.data();
   std::uint32_t index = root;
-  std::int32_t f = feature[index];
-  while (f >= 0) {
-    const std::int32_t offset =
-        row[static_cast<std::size_t>(f)] <= threshold[index] ? left[index]
-                                                             : right[index];
-    index += static_cast<std::uint32_t>(offset);
-    f = feature[index];
+  for (std::int32_t f = feature[index]; f >= 0; f = feature[index]) {
+    index = row[static_cast<std::size_t>(f)] <= threshold[index]
+                ? index + 1
+                : right[index];
   }
-  return static_cast<double>(leaf_value_[index]);
+  return static_cast<double>(threshold[index]);
 }
 
 double CompiledForest::predict_proba(std::span<const float> row) const {
@@ -94,36 +87,6 @@ double CompiledForest::predict_proba(std::span<const float> row) const {
   return total / static_cast<double>(roots_.size());
 }
 
-void CompiledForest::predict_batch(const Matrix& data,
-                                   std::span<double> out) const {
-  if (roots_.empty()) {
-    throw ModelError("CompiledForest::predict before compile");
-  }
-  const std::size_t row_count = data.row_count();
-  if (out.size() != row_count) {
-    throw ModelError("CompiledForest::predict_batch: output size mismatch");
-  }
-  std::fill(out.begin(), out.end(), 0.0);
-  // Tree blocks outermost: a block's node table stays cache-resident
-  // while every row streams through it. Within a row the trees of a block
-  // are visited in ascending order, and blocks advance in ascending
-  // order, so each row accumulates leaf values in exactly the tree order
-  // of the per-row path — keeping the double sum bit-identical.
-  for (std::size_t block = 0; block < roots_.size(); block += kTreeBlock) {
-    const std::size_t block_end = std::min(block + kTreeBlock, roots_.size());
-    for (std::size_t i = 0; i < row_count; ++i) {
-      const std::span<const float> row = (*data.rows)[i];
-      double total = out[i];
-      for (std::size_t t = block; t < block_end; ++t) {
-        total += predict_tree(roots_[t], row);
-      }
-      out[i] = total;
-    }
-  }
-  const double scale_count = static_cast<double>(roots_.size());
-  for (double& value : out) value /= scale_count;
-}
-
 CompiledEnsemble CompiledEnsemble::compile(
     const MultiLabelClassifier& classifier) {
   if (classifier.label_count() == 0) {
@@ -133,9 +96,17 @@ CompiledEnsemble CompiledEnsemble::compile(
   out.chained_ = classifier.chained();
   out.chain_threshold_ = classifier.chain_threshold();
   const std::span<const RandomForest> forests = classifier.forests();
+  out.feature_count_ = forests[0].feature_count();
   out.forests_.reserve(forests.size());
-  for (const RandomForest& forest : forests) {
-    out.forests_.push_back(CompiledForest::compile(forest));
+  for (std::size_t j = 0; j < forests.size(); ++j) {
+    const std::size_t expected = out.feature_count_ + (out.chained_ ? j : 0);
+    if (forests[j].feature_count() != expected) {
+      throw ModelError("CompiledEnsemble::compile: forest " +
+                       std::to_string(j) + " reads " +
+                       std::to_string(forests[j].feature_count()) +
+                       " features, expected " + std::to_string(expected));
+    }
+    out.forests_.push_back(CompiledForest::compile(forests[j]));
   }
   return out;
 }
@@ -145,6 +116,11 @@ void CompiledEnsemble::predict_proba(std::span<const float> row,
                                      std::vector<double>& out) const {
   if (forests_.empty()) {
     throw ModelError("CompiledEnsemble::predict before compile");
+  }
+  if (row.size() < feature_count_) {
+    throw ModelError("CompiledEnsemble::predict: row has " +
+                     std::to_string(row.size()) + " features, model reads " +
+                     std::to_string(feature_count_));
   }
   out.resize(forests_.size());
   if (!chained_) {
@@ -161,56 +137,6 @@ void CompiledEnsemble::predict_proba(std::span<const float> row,
     if (j + 1 < forests_.size()) {
       scratch.extended.push_back(out[j] >= chain_threshold_ ? 1.0f : 0.0f);
     }
-  }
-}
-
-std::vector<double> CompiledEnsemble::predict_proba(
-    std::span<const float> row) const {
-  PredictScratch scratch;
-  std::vector<double> out;
-  predict_proba(row, scratch, out);
-  return out;
-}
-
-void CompiledEnsemble::rank_labels(PredictScratch& scratch) const {
-  const std::vector<double>& probabilities = scratch.proba;
-  scratch.order.resize(probabilities.size());
-  std::iota(scratch.order.begin(), scratch.order.end(), std::size_t{0});
-  std::stable_sort(scratch.order.begin(), scratch.order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return probabilities[a] > probabilities[b];
-                   });
-}
-
-void CompiledEnsemble::predict_set(std::span<const float> row, double threshold,
-                                   PredictScratch& scratch,
-                                   std::vector<std::size_t>& out) const {
-  predict_proba(row, scratch, scratch.proba);
-  out.clear();
-  for (std::size_t i = 0; i < scratch.proba.size(); ++i) {
-    if (scratch.proba[i] >= threshold) out.push_back(i);
-  }
-}
-
-void CompiledEnsemble::predict_topk(std::span<const float> row, std::size_t k,
-                                    PredictScratch& scratch,
-                                    std::vector<std::size_t>& out) const {
-  predict_proba(row, scratch, scratch.proba);
-  rank_labels(scratch);
-  const std::size_t take = std::min(k, scratch.order.size());
-  out.assign(scratch.order.begin(),
-             scratch.order.begin() + static_cast<std::ptrdiff_t>(take));
-}
-
-void CompiledEnsemble::predict_topk_thresholded(
-    std::span<const float> row, std::size_t k, double threshold,
-    PredictScratch& scratch, std::vector<std::size_t>& out) const {
-  predict_proba(row, scratch, scratch.proba);
-  rank_labels(scratch);
-  out.clear();
-  for (std::size_t i = 0; i < scratch.order.size() && out.size() < k; ++i) {
-    const std::size_t label = scratch.order[i];
-    if (scratch.proba[label] >= threshold) out.push_back(label);
   }
 }
 

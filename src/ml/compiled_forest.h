@@ -1,4 +1,4 @@
-// Compiled inference fast path: flattened, cache-friendly forest layout.
+// Compiled inference: flattened, cache-friendly forest layout.
 //
 // RandomForest::predict_proba walks one std::vector<TreeNode> per tree —
 // an AoS layout where every hop touches a 24-byte node (half of which is
@@ -9,19 +9,17 @@
 //
 // CompiledForest flattens a fitted forest into one contiguous
 // structure-of-arrays node table in the spirit of QuickScorer's tree
-// blocking (Lucchese et al., SIGIR 2015): per node a feature index, a
-// threshold, and child links as offsets *relative to the node itself*
-// within the shared table; leaf probabilities live in a parallel array.
-// Feature indices and child offsets are 16-bit — a full ensemble streams
-// half the bytes of an int32 layout, which matters because batch analysis
-// interleaves inference with extraction, so the node tables re-enter
-// cache cold for every script. A tree hop reads a 2-byte feature, a
-// 4-byte threshold, and a 2-byte offset from three hot arrays instead of
-// one cold 24-byte struct, and whole trees sit adjacent in memory so
-// block-wise batch evaluation keeps a tree resident while streaming rows.
-// compile() rejects models that exceed the 16-bit layout (>32767 features
-// or >32768 nodes in one tree — far beyond anything jstraced trains);
-// the detectors then fall back to the reference prediction path.
+// blocking (Lucchese et al., SIGIR 2015). Trees keep the pre-order layout
+// DecisionTree::build emits, so a node's left child is always the next
+// node and only the right child needs a link. Per node the table holds
+// three 4-byte fields (12 B/node):
+//   - feature:   int32 split feature, -1 for a leaf;
+//   - threshold: float split threshold, or the leaf's positive-class
+//                probability when the node is a leaf;
+//   - right:     uint32 index of the right child in the shared table.
+// Every valid model compiles; compile() rejects a tree whose links or
+// feature indices would send a walk out of bounds (a corrupt model file)
+// with ModelError.
 //
 // Predictions are bit-identical to the reference path by construction:
 // the same float thresholds are compared with the same `<=`, the same
@@ -45,16 +43,13 @@ namespace jst::ml {
 // predict calls that take a PredictScratch are allocation-free once the
 // scratch has warmed up (capacities stick across calls).
 struct PredictScratch {
-  std::vector<float> extended;      // row + chain-position label bits
-  std::vector<double> proba;        // per-label probabilities
-  std::vector<std::size_t> order;   // label ranking workspace
-  std::vector<std::size_t> picked;  // thresholded top-k workspace
+  std::vector<float> extended;  // row + chain-position label bits
+  std::vector<double> proba;    // per-label probabilities
 
   // Approximate steady-state footprint, for the obs peak-bytes gauge.
   std::size_t capacity_bytes() const {
     return extended.capacity() * sizeof(float) +
-           proba.capacity() * sizeof(double) +
-           (order.capacity() + picked.capacity()) * sizeof(std::size_t);
+           proba.capacity() * sizeof(double);
   }
 };
 
@@ -62,7 +57,10 @@ class CompiledForest {
  public:
   CompiledForest() = default;
 
-  // Flattens a fitted forest. Throws ModelError if the forest is empty.
+  // Flattens a fitted forest. Throws ModelError if the forest is empty
+  // or a tree is malformed: an internal node whose left child is not the
+  // next node, whose right child is not after it inside the same tree,
+  // or whose feature index is not below the forest's feature count.
   static CompiledForest compile(const RandomForest& forest);
 
   bool compiled() const { return !roots_.empty(); }
@@ -74,75 +72,47 @@ class CompiledForest {
   // RandomForest::predict_proba on the source forest.
   double predict_proba(std::span<const float> row) const;
 
-  // Row-major batch evaluation: out[i] = predict_proba(row i). Trees are
-  // evaluated in blocks (kTreeBlock at a time) across all rows, keeping
-  // the block's node table cache-resident while the rows stream; per-row
-  // accumulation still happens in ascending tree order, so every out[i]
-  // is bit-identical to the per-row call.
-  void predict_batch(const Matrix& data, std::span<double> out) const;
-
-  static constexpr std::size_t kTreeBlock = 8;
-
  private:
   double predict_tree(std::uint32_t root, std::span<const float> row) const;
 
-  // Structure-of-arrays node table, all trees concatenated.
-  std::vector<std::int16_t> feature_;    // -1 = leaf
-  std::vector<float> threshold_;
-  std::vector<std::int16_t> left_;       // child offset relative to node
-  std::vector<std::int16_t> right_;      // child offset relative to node
-  std::vector<float> leaf_value_;        // parallel: positive-class prob
-  std::vector<std::uint32_t> roots_;     // per-tree root index
+  // Structure-of-arrays node table, all trees concatenated in pre-order.
+  std::vector<std::int32_t> feature_;  // -1 = leaf
+  std::vector<float> threshold_;       // leaf: positive-class probability
+  std::vector<std::uint32_t> right_;   // right child (left = self + 1)
+  std::vector<std::uint32_t> roots_;   // per-tree root index
   std::size_t feature_count_ = 0;
 };
 
 // Compiled counterpart of a fitted MultiLabelClassifier: one
 // CompiledForest per label plus the chain rule (thresholded upstream
 // predictions appended as features) when the source was a
-// ClassifierChain. Mirrors predict_proba / predict_set / predict_topk /
-// predict_topk_thresholded bit-for-bit, with scratch-taking overloads
-// that are allocation-free in steady state.
+// ClassifierChain. Mirrors predict_proba bit-for-bit through a
+// scratch-taking overload that is allocation-free in steady state;
+// decisions over the probabilities go through ml::top_k_labels.
 class CompiledEnsemble {
  public:
   CompiledEnsemble() = default;
 
+  // Throws ModelError if a forest is malformed (CompiledForest::compile)
+  // or the forests disagree on the row width: every forest of a binary
+  // relevance model reads the same features, and chain position j reads
+  // j more than position 0.
   static CompiledEnsemble compile(const MultiLabelClassifier& classifier);
 
   bool compiled() const { return !forests_.empty(); }
   std::size_t label_count() const { return forests_.size(); }
   bool chained() const { return chained_; }
+  // Row width the first forest reads.
+  std::size_t feature_count() const { return feature_count_; }
 
   // Per-label probabilities into `out` (resized to label_count()).
+  // Throws ModelError if `row` is narrower than feature_count().
   void predict_proba(std::span<const float> row, PredictScratch& scratch,
                      std::vector<double>& out) const;
-  std::vector<double> predict_proba(std::span<const float> row) const;
-
-  // Labels with probability >= threshold.
-  void predict_set(std::span<const float> row, double threshold,
-                   PredictScratch& scratch,
-                   std::vector<std::size_t>& out) const;
-
-  // Indices of the k most probable labels, most probable first.
-  void predict_topk(std::span<const float> row, std::size_t k,
-                    PredictScratch& scratch,
-                    std::vector<std::size_t>& out) const;
-
-  // Top-k restricted to labels whose probability clears `threshold`
-  // (the paper's level-2 decision rule).
-  void predict_topk_thresholded(std::span<const float> row, std::size_t k,
-                                double threshold, PredictScratch& scratch,
-                                std::vector<std::size_t>& out) const;
-
-  const CompiledForest& forest(std::size_t label) const {
-    return forests_[label];
-  }
 
  private:
-  // Ranks scratch.proba into scratch.order (stable, descending) — the
-  // exact stable_sort the reference decision rules use.
-  void rank_labels(PredictScratch& scratch) const;
-
   std::vector<CompiledForest> forests_;
+  std::size_t feature_count_ = 0;
   bool chained_ = false;
   double chain_threshold_ = 0.5;
 };

@@ -93,8 +93,10 @@ class DecisionTree {
   std::size_t depth() const { return depth_; }
   std::size_t feature_count() const { return feature_count_; }
 
-  // Fitted node table (root = index 0; internal nodes precede their
-  // subtrees). Read-only view for flattening/inspection.
+  // Fitted node table in pre-order: root = index 0, and an internal
+  // node's left child immediately follows it (the layout
+  // CompiledForest::compile requires). Read-only view for
+  // flattening/inspection.
   std::span<const TreeNode> nodes() const { return nodes_; }
 
   // Accumulates impurity-decrease feature importances into `out`

@@ -34,34 +34,10 @@ std::vector<std::uint8_t> label_column(const LabelMatrix& labels,
 
 }  // namespace
 
-std::vector<std::size_t> MultiLabelClassifier::predict_set(
-    std::span<const float> row, double threshold) const {
-  const std::vector<double> probabilities = predict_proba(row);
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < probabilities.size(); ++i) {
-    if (probabilities[i] >= threshold) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<std::size_t> MultiLabelClassifier::predict_topk(
-    std::span<const float> row, std::size_t k) const {
-  const std::vector<double> probabilities = predict_proba(row);
+std::vector<std::size_t> top_k_labels(std::span<const double> probabilities,
+                                      std::size_t k, double threshold) {
   std::vector<std::size_t> order(probabilities.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return probabilities[a] > probabilities[b];
-                   });
-  order.resize(std::min(k, order.size()));
-  return order;
-}
-
-std::vector<std::size_t> MultiLabelClassifier::predict_topk_thresholded(
-    std::span<const float> row, std::size_t k, double threshold) const {
-  const std::vector<double> probabilities = predict_proba(row);
-  std::vector<std::size_t> order(probabilities.size());
-  std::iota(order.begin(), order.end(), 0);
+  std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      return probabilities[a] > probabilities[b];

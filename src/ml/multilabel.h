@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -50,21 +51,16 @@ class MultiLabelClassifier {
   virtual void save(std::ostream& out,
                     ModelEncoding encoding = ModelEncoding::kText) const = 0;
   virtual void load(std::istream& in) = 0;
-
-  // Labels with probability >= threshold.
-  std::vector<std::size_t> predict_set(std::span<const float> row,
-                                       double threshold = 0.5) const;
-
-  // Indices of the k most probable labels, most probable first.
-  std::vector<std::size_t> predict_topk(std::span<const float> row,
-                                        std::size_t k) const;
-
-  // Top-k restricted to labels whose probability clears `threshold`
-  // (the paper's final level-2 decision rule, threshold = 0.10).
-  std::vector<std::size_t> predict_topk_thresholded(std::span<const float> row,
-                                                    std::size_t k,
-                                                    double threshold) const;
 };
+
+// The multi-label decision rule, applied to probabilities a classifier has
+// already produced: indices of the (at most) k most probable labels whose
+// probability is >= threshold, most probable first, ties in ascending
+// label order. With the default threshold every label qualifies (plain
+// top-k); the paper's level-2 rule uses threshold = 0.10 (§III-E2).
+std::vector<std::size_t> top_k_labels(
+    std::span<const double> probabilities, std::size_t k,
+    double threshold = -std::numeric_limits<double>::infinity());
 
 class BinaryRelevance final : public MultiLabelClassifier {
  public:

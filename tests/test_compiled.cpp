@@ -2,8 +2,8 @@
 // feature extractor. "Equivalent" here means bit-identical: the compiled
 // forest accumulates the same float leaf values into a double in the same
 // order as the reference tree walk, and the fused extractor emits the
-// same float vector as the legacy multi-walk — so every comparison below
-// is exact (EXPECT_EQ), never approximate.
+// same float vector as the reference multi-walk (reference_features.h) —
+// so every comparison below is exact (EXPECT_EQ), never approximate.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,18 +14,24 @@
 #include "analysis/dataset.h"
 #include "analysis/detector.h"
 #include "analysis/labels.h"
+#include "analysis/model_io.h"
 #include "analysis/pipeline.h"
+#include "analysis/service.h"
 #include "features/feature_extractor.h"
 #include "ml/compiled_forest.h"
 #include "ml/multilabel.h"
 #include "ml/random_forest.h"
 #include "obs/metrics.h"
+#include "reference_features.h"
 #include "support/error.h"
 #include "support/rng.h"
+#include "support/strings.h"
 #include "transform/technique.h"
 
 namespace jst {
 namespace {
+
+namespace reference = features::reference;
 
 std::vector<std::vector<float>> random_rows(std::size_t count,
                                             std::size_t features, Rng& rng) {
@@ -75,8 +81,6 @@ ml::LabelMatrix correlated_labels(const std::vector<std::vector<float>>& rows) {
 
 TEST(CompiledForest, BitIdenticalToReferenceOnRandomRows) {
   std::vector<std::vector<float>> rows;
-  // 20 trees spans multiple tree blocks (kTreeBlock = 8), exercising the
-  // partial final block.
   const ml::RandomForest forest = trained_forest(20, 101, rows);
   const ml::CompiledForest compiled = ml::CompiledForest::compile(forest);
   EXPECT_EQ(compiled.tree_count(), forest.tree_count());
@@ -91,21 +95,6 @@ TEST(CompiledForest, BitIdenticalToReferenceOnRandomRows) {
   }
 }
 
-TEST(CompiledForest, PredictBatchBitIdenticalToPerRow) {
-  std::vector<std::vector<float>> rows;
-  const ml::RandomForest forest = trained_forest(20, 103, rows);
-  const ml::CompiledForest compiled = ml::CompiledForest::compile(forest);
-
-  Rng rng(104);
-  const auto probes = random_rows(97, 5, rng);
-  std::vector<double> batch(probes.size());
-  compiled.predict_batch(ml::Matrix{&probes}, batch);
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(batch[i], compiled.predict_proba(probes[i])) << "row " << i;
-    EXPECT_EQ(batch[i], forest.predict_proba(probes[i])) << "row " << i;
-  }
-}
-
 TEST(CompiledForest, ErrorsOnUntrainedAndUncompiled) {
   EXPECT_THROW(ml::CompiledForest::compile(ml::RandomForest{}), ModelError);
   ml::CompiledForest not_compiled;
@@ -114,15 +103,179 @@ TEST(CompiledForest, ErrorsOnUntrainedAndUncompiled) {
   EXPECT_THROW(not_compiled.predict_proba(row), ModelError);
 }
 
-TEST(CompiledForest, BatchRejectsSizeMismatch) {
-  std::vector<std::vector<float>> rows;
-  const ml::RandomForest forest = trained_forest(4, 105, rows);
+// --- crafted node tables ---------------------------------------------------
+
+// One node of a hand-built tree, in DecisionTree's text record order.
+struct CraftedNode {
+  std::int32_t feature = -1;
+  float threshold = 0.0f;
+  std::int32_t left = -1;
+  std::int32_t right = -1;
+  float value = 0.0f;
+};
+
+// The text stream RandomForest::load (and through it DecisionTree::load)
+// reads: a one-tree forest over `feature_count` features.
+std::string crafted_forest_text(const std::vector<CraftedNode>& nodes,
+                                std::size_t feature_count) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "jstraced-forest-v1\n1 " << feature_count << '\n';
+  out << nodes.size() << " 1 " << feature_count << '\n';
+  for (const CraftedNode& node : nodes) {
+    out << node.feature << ' ' << node.threshold << ' ' << node.left << ' '
+        << node.right << ' ' << node.value << " 0\n";
+  }
+  return out.str();
+}
+
+ml::RandomForest load_crafted_forest(const std::vector<CraftedNode>& nodes,
+                                     std::size_t feature_count) {
+  std::istringstream in(crafted_forest_text(nodes, feature_count));
+  ml::RandomForest forest;
+  forest.load(in);
+  return forest;
+}
+
+// Complete binary tree of the given depth in pre-order (left child next).
+std::int32_t build_complete_tree(std::size_t depth, std::size_t feature_count,
+                                 Rng& rng, std::vector<CraftedNode>& nodes) {
+  const auto self = static_cast<std::int32_t>(nodes.size());
+  nodes.emplace_back();
+  if (depth == 0) {
+    nodes[self].value = static_cast<float>(rng.uniform());
+    return self;
+  }
+  nodes[self].feature = static_cast<std::int32_t>(rng.index(feature_count));
+  nodes[self].threshold = static_cast<float>(rng.uniform());
+  nodes[self].left =
+      build_complete_tree(depth - 1, feature_count, rng, nodes);
+  nodes[self].right =
+      build_complete_tree(depth - 1, feature_count, rng, nodes);
+  return self;
+}
+
+TEST(CompiledForest, CompilesTreesBeyondSixteenBitLimits) {
+  // 65535 nodes (> 32768) over 40000 features (indices > 32767): neither
+  // node links nor feature indices fit 16 bits.
+  constexpr std::size_t kFeatures = 40000;
+  Rng rng(107);
+  std::vector<CraftedNode> nodes;
+  build_complete_tree(15, kFeatures, rng, nodes);
+  nodes[0].feature = kFeatures - 1;
+  ASSERT_EQ(nodes.size(), 65535u);
+  const ml::RandomForest forest = load_crafted_forest(nodes, kFeatures);
+  ASSERT_EQ(forest.trees()[0].node_count(), nodes.size());
+
   const ml::CompiledForest compiled = ml::CompiledForest::compile(forest);
-  Rng rng(106);
-  const auto probes = random_rows(8, 5, rng);
-  std::vector<double> wrong_size(probes.size() + 1);
-  EXPECT_THROW(compiled.predict_batch(ml::Matrix{&probes}, wrong_size),
-               ModelError);
+  EXPECT_EQ(compiled.node_count(), nodes.size());
+  const auto probes = random_rows(16, kFeatures, rng);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(compiled.predict_proba(probes[i]),
+              forest.trees()[0].predict(probes[i]))
+        << "probe " << i;
+  }
+}
+
+// Root split on feature 0 with two leaves; each test corrupts one link.
+std::vector<CraftedNode> three_node_tree() {
+  std::vector<CraftedNode> nodes(3);
+  nodes[0] = {0, 0.5f, 1, 2, 0.0f};
+  nodes[1].value = 0.25f;
+  nodes[2].value = 0.75f;
+  return nodes;
+}
+
+void expect_compile_rejects(const std::vector<CraftedNode>& nodes,
+                            const std::string& fragment) {
+  const ml::RandomForest forest = load_crafted_forest(nodes, 2);
+  try {
+    (void)ml::CompiledForest::compile(forest);
+    FAIL() << "expected ModelError mentioning \"" << fragment << '"';
+  } catch (const ModelError& error) {
+    EXPECT_NE(std::string(error.what()).find(fragment), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(CompiledForest, WellFormedCraftedTreeCompiles) {
+  const ml::RandomForest forest = load_crafted_forest(three_node_tree(), 2);
+  const ml::CompiledForest compiled = ml::CompiledForest::compile(forest);
+  const std::vector<float> low = {0.1f, 0.0f};
+  const std::vector<float> high = {0.9f, 0.0f};
+  EXPECT_EQ(compiled.predict_proba(low), 0.25);
+  EXPECT_EQ(compiled.predict_proba(high), 0.75);
+}
+
+TEST(CompiledForest, RejectsLeftChildThatIsNotNextNode) {
+  std::vector<CraftedNode> nodes = three_node_tree();
+  nodes[0].left = 2;
+  nodes[0].right = 1;
+  expect_compile_rejects(nodes, "left child");
+}
+
+TEST(CompiledForest, RejectsRightChildOutsideTree) {
+  std::vector<CraftedNode> nodes = three_node_tree();
+  nodes[0].right = 3;  // one past the last node
+  expect_compile_rejects(nodes, "right child");
+  nodes[0].right = 0;  // back-edge to the node itself
+  expect_compile_rejects(nodes, "right child");
+}
+
+TEST(CompiledForest, RejectsFeatureIndexBeyondFeatureCount) {
+  std::vector<CraftedNode> nodes = three_node_tree();
+  nodes[0].feature = 2;  // the forest has features 0 and 1
+  expect_compile_rejects(nodes, "feature index");
+}
+
+TEST(CompiledDetector, CorruptModelFileFailsLoadWithModelError) {
+  analysis::DetectorConfig config;
+  std::vector<CraftedNode> corrupt = three_node_tree();
+  corrupt[0].right = 7;
+  const std::size_t features =
+      features::feature_dimension(config.features);
+  std::stringstream stream;
+  analysis::write_model_header(stream,
+                               analysis::make_model_header("level1", config));
+  stream << "classifier-chain 3\n"
+         << crafted_forest_text(three_node_tree(), features)
+         << crafted_forest_text(three_node_tree(), features + 1)
+         << crafted_forest_text(corrupt, features + 2);
+  analysis::Level1Detector detector(config);
+  EXPECT_THROW(detector.load(stream), ModelError);
+}
+
+TEST(CompiledDetector, ForestWiderThanTheRowIsRejected) {
+  analysis::DetectorConfig config;
+  const std::size_t features =
+      features::feature_dimension(config.features);
+  // Links and feature indices are valid for the width the forests claim,
+  // which is wider than the rows this configuration extracts.
+  std::vector<CraftedNode> wide = three_node_tree();
+  wide[0].feature = static_cast<std::int32_t>(features + 10);
+  const auto detector_stream = [&](std::size_t second_forest_width) {
+    std::stringstream stream;
+    analysis::write_model_header(
+        stream, analysis::make_model_header("level1", config));
+    stream << "classifier-chain 3\n"
+           << crafted_forest_text(wide, features + 11)
+           << crafted_forest_text(wide, second_forest_width)
+           << crafted_forest_text(wide, features + 13);
+    return stream;
+  };
+
+  // Chain forests must widen by one column per position.
+  std::stringstream inconsistent = detector_stream(features + 11);
+  analysis::Level1Detector rejected(config);
+  EXPECT_THROW(rejected.load(inconsistent), ModelError);
+
+  std::stringstream consistent = detector_stream(features + 12);
+  analysis::Level1Detector detector(config);
+  detector.load(consistent);
+  const std::vector<float> row(features, 0.5f);
+  EXPECT_THROW((void)detector.predict(row), ModelError);
+  const std::vector<float> wide_row(features + 11, 0.5f);
+  EXPECT_EQ(detector.predict(wide_row).p_minified, 0.25);
 }
 
 // --- CompiledEnsemble vs MultiLabelClassifier -----------------------------
@@ -151,22 +304,6 @@ void expect_ensemble_matches(std::uint64_t seed) {
     ASSERT_EQ(fast.size(), reference.size());
     for (std::size_t j = 0; j < fast.size(); ++j) {
       EXPECT_EQ(fast[j], reference[j]) << "probe " << i << " label " << j;
-    }
-
-    std::vector<std::size_t> picked;
-    for (const double threshold : {0.1, 0.5, 0.9}) {
-      compiled.predict_set(probes[i], threshold, scratch, picked);
-      EXPECT_EQ(picked, classifier.predict_set(probes[i], threshold));
-      for (const std::size_t k : {1u, 2u, 3u, 5u}) {
-        compiled.predict_topk_thresholded(probes[i], k, threshold, scratch,
-                                          picked);
-        EXPECT_EQ(picked,
-                  classifier.predict_topk_thresholded(probes[i], k, threshold));
-      }
-    }
-    for (const std::size_t k : {1u, 2u, 3u, 5u}) {
-      compiled.predict_topk(probes[i], k, scratch, picked);
-      EXPECT_EQ(picked, classifier.predict_topk(probes[i], k));
     }
   }
 }
@@ -293,7 +430,7 @@ void expect_rows_equal(const std::vector<float>& reference,
   }
 }
 
-TEST(FusedExtraction, BitIdenticalToLegacyOnSeedCorpus) {
+TEST(FusedExtraction, BitIdenticalToReferenceOnSeedCorpus) {
   const std::vector<std::string> corpus = seed_corpus();
   const features::FeatureConfig config;
   // ONE scratch across the whole corpus: equality on every script also
@@ -302,7 +439,7 @@ TEST(FusedExtraction, BitIdenticalToLegacyOnSeedCorpus) {
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const ScriptAnalysis analysis =
         analyze_script(corpus[i], config.analysis);
-    const std::vector<float> reference = features::extract(analysis, config);
+    const std::vector<float> reference = reference::extract(analysis, config);
     const std::vector<float>& fused =
         features::extract_into(analysis, config, scratch);
     expect_rows_equal(reference, fused, i);
@@ -311,7 +448,7 @@ TEST(FusedExtraction, BitIdenticalToLegacyOnSeedCorpus) {
   EXPECT_GT(scratch.capacity_bytes(), 0u);
 }
 
-TEST(FusedExtraction, SingleBlockConfigsMatchLegacy) {
+TEST(FusedExtraction, SingleBlockConfigsMatchReference) {
   const std::vector<std::string> corpus = seed_corpus();
   features::ExtractScratch scratch;
   for (std::size_t variant = 0; variant < 2; ++variant) {
@@ -322,11 +459,29 @@ TEST(FusedExtraction, SingleBlockConfigsMatchLegacy) {
       const ScriptAnalysis analysis =
           analyze_script(corpus[i], config.analysis);
       const std::vector<float> reference =
-          features::extract(analysis, config);
+          reference::extract(analysis, config);
       const std::vector<float>& fused =
           features::extract_into(analysis, config, scratch);
       expect_rows_equal(reference, fused, i);
     }
+  }
+}
+
+TEST(FusedExtraction, TrainingTableMatchesReference) {
+  const std::vector<std::string> corpus = seed_corpus();
+  features::FeatureConfig config;
+  config.ngram.hash_dim = 64;
+  std::vector<analysis::Sample> samples;
+  for (const std::string& source : corpus) {
+    samples.push_back(analysis::make_regular_sample(source));
+  }
+  const analysis::FeatureTable table =
+      analysis::extract_features(std::move(samples), config);
+  ASSERT_EQ(table.rows.size(), corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const ScriptAnalysis analysis =
+        analyze_script(corpus[i], config.analysis);
+    expect_rows_equal(reference::extract(analysis, config), table.rows[i], i);
   }
 }
 
@@ -373,7 +528,7 @@ TEST(CompiledDetector, PredictionsBitIdenticalToReferenceClassifier) {
     const ScriptAnalysis analysis_result =
         analyze_script(corpus[corpus.size() - 1 - i], config.analysis);
     const std::vector<float> row =
-        features::extract(analysis_result, config);
+        reference::extract(analysis_result, config);
 
     const auto level1 = analyzer.level1().predict(row);
     const std::vector<double> level1_reference =
@@ -393,13 +548,40 @@ TEST(CompiledDetector, PredictionsBitIdenticalToReferenceClassifier) {
     const analysis::DetectorConfig& detector_config =
         analyzer.level2().config();
     EXPECT_EQ(analyzer.level2().predict_techniques(row),
-              analysis::techniques_from_indices(
-                  analyzer.level2()
-                      .reference_classifier()
-                      .predict_topk_thresholded(
-                          row, detector_config.level2_topk,
-                          detector_config.level2_threshold)));
+              analysis::techniques_from_indices(ml::top_k_labels(
+                  level2_reference, detector_config.level2_topk,
+                  detector_config.level2_threshold)));
   }
+}
+
+TEST(CompiledDetector, AnalyzeOutcomeTechniquesFollowTheDecisionRule) {
+  const analysis::TransformationAnalyzer& analyzer = shared_analyzer();
+  const features::FeatureConfig& config =
+      analyzer.options().detector.features;
+  const std::vector<std::string> corpus = seed_corpus();
+  analysis::ScriptScratch scratch;
+  std::size_t transformed = 0;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const analysis::ScriptOutcome outcome =
+        analyzer.analyze_outcome(corpus[i], ResourceLimits{}, scratch);
+    ASSERT_TRUE(outcome.has_predictions()) << "script " << i;
+    const ScriptAnalysis analysis_result =
+        analyze_script(corpus[i], config.analysis);
+    const std::vector<float> row =
+        reference::extract(analysis_result, config);
+    EXPECT_EQ(outcome.report.technique_confidence,
+              analyzer.level2().predict_proba(row))
+        << "script " << i;
+    if (outcome.report.level1.transformed()) {
+      ++transformed;
+      EXPECT_EQ(outcome.report.techniques,
+                analyzer.level2().predict_techniques(row))
+          << "script " << i;
+    } else {
+      EXPECT_TRUE(outcome.report.techniques.empty()) << "script " << i;
+    }
+  }
+  EXPECT_GT(transformed, 0u);
 }
 
 TEST(CompiledDetector, SaveLoadRoundTripKeepsPredictions) {
@@ -410,16 +592,51 @@ TEST(CompiledDetector, SaveLoadRoundTripKeepsPredictions) {
   analysis::TransformationAnalyzer loaded(analyzer.options());
   loaded.load(stream);
 
+  const analysis::AnalyzerService original_service(analyzer);
+  const analysis::AnalyzerService loaded_service(loaded);
   const std::vector<std::string> corpus = seed_corpus();
   for (std::size_t i = 0; i < 4; ++i) {
-    const analysis::ScriptReport a = analyzer.analyze(corpus[i]);
-    const analysis::ScriptReport b = loaded.analyze(corpus[i]);
+    const auto request = analysis::AnalyzeRequest::for_source(corpus[i]);
+    const analysis::ScriptReport a =
+        original_service.analyze(request).outcome.report;
+    const analysis::ScriptReport b =
+        loaded_service.analyze(request).outcome.report;
     EXPECT_EQ(a.level1.p_regular, b.level1.p_regular) << "script " << i;
     EXPECT_EQ(a.level1.p_minified, b.level1.p_minified);
     EXPECT_EQ(a.level1.p_obfuscated, b.level1.p_obfuscated);
     EXPECT_EQ(a.technique_confidence, b.technique_confidence);
     EXPECT_EQ(a.techniques, b.techniques);
   }
+}
+
+// --- model-bytes oracle ----------------------------------------------------
+
+// FNV-1a of the bytes TransformationAnalyzer::save writes for two small
+// training configurations. The constants were captured from the reference
+// multi-walk extractor; training on the fused extractor (or any other
+// change to corpus synthesis, features, tree growth, or the encoding)
+// must reproduce them exactly, at every JST_THREADS width.
+std::uint64_t trained_model_fingerprint(bool classifier_chain) {
+  analysis::PipelineOptions options;
+  options.training_regular_count = 24;
+  options.per_technique_count = 4;
+  options.detector.forest.tree_count = 4;
+  options.detector.features.ngram.hash_dim = 48;
+  options.detector.classifier_chain = classifier_chain;
+  options.seed = 8675309;
+  analysis::TransformationAnalyzer analyzer(options);
+  analyzer.train();
+  std::ostringstream bytes;
+  analyzer.save(bytes);
+  return strings::fnv1a(bytes.str());
+}
+
+TEST(ModelBytes, ClassifierChainFingerprintPinned) {
+  EXPECT_EQ(trained_model_fingerprint(true), 0x1f4cb451c0148bc2ULL);
+}
+
+TEST(ModelBytes, BinaryRelevanceFingerprintPinned) {
+  EXPECT_EQ(trained_model_fingerprint(false), 0x3f965b3345d24a87ULL);
 }
 
 // --- scratch reuse ---------------------------------------------------------

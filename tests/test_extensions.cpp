@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "analysis/pipeline.h"
+#include "analysis/service.h"
 #include "ast/ast_json.h"
 #include "interp/interpreter.h"
 #include "ml/random_forest.h"
@@ -182,8 +183,11 @@ TEST(Serialization, AnalyzerRoundTrip) {
   spec.regular_count = 1;
   spec.seed = 777;
   const std::string probe = analysis::generate_regular_corpus(spec)[0];
-  const auto a = analyzer.analyze(probe);
-  const auto b = restored.analyze(probe);
+  const auto request = analysis::AnalyzeRequest::for_source(probe);
+  const analysis::ScriptReport a =
+      analysis::AnalyzerService(analyzer).analyze(request).outcome.report;
+  const analysis::ScriptReport b =
+      analysis::AnalyzerService(restored).analyze(request).outcome.report;
   EXPECT_EQ(a.level1.p_regular, b.level1.p_regular);
   EXPECT_EQ(a.level1.p_minified, b.level1.p_minified);
   EXPECT_EQ(a.technique_confidence, b.technique_confidence);

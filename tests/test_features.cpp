@@ -4,12 +4,14 @@
 
 #include "corpus/generator.h"
 #include "features/feature_extractor.h"
+#include "reference_features.h"
 #include "transform/transform.h"
 
 namespace jst {
 namespace {
 
 using features::FeatureConfig;
+namespace reference = features::reference;
 
 std::size_t name_index(std::string_view name) {
   const auto& names = features::handpicked_feature_names();
@@ -20,10 +22,35 @@ std::size_t name_index(std::string_view name) {
   return 0;
 }
 
+// The hand-picked block as the library extracts it; every call also
+// checks it against the reference multi-walk.
+std::vector<float> handpicked_block(const ScriptAnalysis& analysis) {
+  FeatureConfig config;
+  config.use_ngrams = false;
+  features::ExtractScratch scratch;
+  const std::vector<float> fused =
+      features::extract_into(analysis, config, scratch);
+  EXPECT_EQ(fused, reference::handpicked_features(analysis));
+  return fused;
+}
+
+// The n-gram block as the library extracts it, checked the same way.
+std::vector<float> ngram_block(const ScriptAnalysis& analysis,
+                               std::size_t hash_dim) {
+  FeatureConfig config;
+  config.use_handpicked = false;
+  config.ngram.hash_dim = hash_dim;
+  features::ExtractScratch scratch;
+  const std::vector<float> fused =
+      features::extract_into(analysis, config, scratch);
+  EXPECT_EQ(fused,
+            reference::ngram_features(analysis.parse.ast.root(), config.ngram));
+  return fused;
+}
+
 float feature_of(std::string_view source, std::string_view name) {
   const ScriptAnalysis analysis = analyze_script(source);
-  const std::vector<float> values = features::handpicked_features(analysis);
-  return values[name_index(name)];
+  return handpicked_block(analysis)[name_index(name)];
 }
 
 TEST(AnalysisPipeline, ParsesAndAugments) {
@@ -65,10 +92,7 @@ TEST(Eligibility, RequiresInterestingNodes) {
 TEST(Ngram, DimensionAndNormalization) {
   const ScriptAnalysis analysis =
       analyze_script("function f(a) { return a + 1; } f(2);");
-  features::NgramConfig config;
-  config.hash_dim = 64;
-  const std::vector<float> histogram =
-      features::ngram_features(analysis.parse.ast.root(), config);
+  const std::vector<float> histogram = ngram_block(analysis, 64);
   ASSERT_EQ(histogram.size(), 64u);
   float total = 0.0f;
   for (float v : histogram) {
@@ -80,10 +104,7 @@ TEST(Ngram, DimensionAndNormalization) {
 
 TEST(Ngram, TinyTreeYieldsZeroVector) {
   const ScriptAnalysis analysis = analyze_script("x;");
-  features::NgramConfig config;
-  config.hash_dim = 32;
-  const auto histogram =
-      features::ngram_features(analysis.parse.ast.root(), config);
+  const std::vector<float> histogram = ngram_block(analysis, 32);
   float total = 0.0f;
   for (float v : histogram) total += v;
   EXPECT_EQ(total, 0.0f);  // fewer than n nodes
@@ -92,22 +113,18 @@ TEST(Ngram, TinyTreeYieldsZeroVector) {
 TEST(Ngram, IdenticalStructureSameHistogram) {
   const ScriptAnalysis a = analyze_script("var a = f(1);");
   const ScriptAnalysis b = analyze_script("var zz = gg(7);");
-  features::NgramConfig config;
-  EXPECT_EQ(features::ngram_features(a.parse.ast.root(), config),
-            features::ngram_features(b.parse.ast.root(), config));
+  EXPECT_EQ(ngram_block(a, 512), ngram_block(b, 512));
 }
 
 TEST(Ngram, DifferentStructureDiffers) {
   const ScriptAnalysis a = analyze_script("var a = f(1); if (a) g();");
   const ScriptAnalysis b = analyze_script("while (x) { y += 1; }");
-  features::NgramConfig config;
-  EXPECT_NE(features::ngram_features(a.parse.ast.root(), config),
-            features::ngram_features(b.parse.ast.root(), config));
+  EXPECT_NE(ngram_block(a, 512), ngram_block(b, 512));
 }
 
 TEST(Handpicked, NamesMatchVectorSize) {
   const ScriptAnalysis analysis = analyze_script("var a = 1; use(a);");
-  const std::vector<float> values = features::handpicked_features(analysis);
+  const std::vector<float> values = handpicked_block(analysis);
   EXPECT_EQ(values.size(), features::handpicked_feature_names().size());
 }
 
@@ -116,7 +133,7 @@ TEST(Handpicked, AllFinite) {
   for (int i = 0; i < 5; ++i) {
     const std::string program = generator.generate();
     const ScriptAnalysis analysis = analyze_script(program);
-    for (float value : features::handpicked_features(analysis)) {
+    for (float value : handpicked_block(analysis)) {
       EXPECT_TRUE(std::isfinite(value));
     }
   }
@@ -205,8 +222,8 @@ TEST(Handpicked, MinifiedVsPrettyCharsPerLine) {
   const ScriptAnalysis pretty_analysis = analyze_script(pretty);
   const ScriptAnalysis compact_analysis = analyze_script(compact);
   const std::size_t index = name_index("avg_chars_per_line");
-  EXPECT_GT(features::handpicked_features(compact_analysis)[index],
-            features::handpicked_features(pretty_analysis)[index] * 3);
+  EXPECT_GT(handpicked_block(compact_analysis)[index],
+            handpicked_block(pretty_analysis)[index] * 3);
 }
 
 TEST(Extractor, DimensionsMatchConfig) {

@@ -34,6 +34,14 @@ const TransformationAnalyzer& shared_analyzer() {
   return *kAnalyzer;
 }
 
+// One script through the request path.
+ScriptReport report_for(const TransformationAnalyzer& analyzer,
+                        std::string source) {
+  return AnalyzerService(analyzer)
+      .analyze(AnalyzeRequest::for_source(std::move(source)))
+      .outcome.report;
+}
+
 std::vector<std::string> held_out_regular(std::size_t count,
                                           std::uint64_t seed) {
   CorpusSpec spec;
@@ -47,7 +55,7 @@ TEST(Integration, TrainsSuccessfully) {
 }
 
 TEST(Integration, AnalyzeRejectsGarbage) {
-  const ScriptReport report = shared_analyzer().analyze("var = ;;; {{{");
+  const ScriptReport report = report_for(shared_analyzer(), "var = ;;; {{{");
   EXPECT_EQ(report.status, ScriptStatus::kParseError);
   EXPECT_TRUE(report.parse_failed());
 }
@@ -58,7 +66,7 @@ TEST(Integration, Level1SeparatesRegularFromTransformed) {
 
   std::size_t regular_correct = 0;
   for (const std::string& source : regular) {
-    const ScriptReport report = analyzer.analyze(source);
+    const ScriptReport report = report_for(analyzer, source);
     ASSERT_FALSE(report.parse_failed());
     if (report.level1.regular()) ++regular_correct;
   }
@@ -71,7 +79,7 @@ TEST(Integration, Level1SeparatesRegularFromTransformed) {
          {Technique::kMinificationSimple, Technique::kIdentifierObfuscation,
           Technique::kControlFlowFlattening}) {
       const Sample sample = make_transformed_sample(source, technique, rng);
-      const ScriptReport report = analyzer.analyze(sample.source);
+      const ScriptReport report = report_for(analyzer, sample.source);
       ++transformed_total;
       if (report.level1.transformed()) ++transformed_correct;
     }
@@ -100,7 +108,7 @@ TEST(Integration, Level2RecoversDominantTechniques) {
   for (const std::string& base : bases) {
     for (Technique technique : probes) {
       const Sample sample = make_transformed_sample(base, technique, rng);
-      const ScriptReport report = analyzer.analyze(sample.source);
+      const ScriptReport report = report_for(analyzer, sample.source);
       ASSERT_FALSE(report.parse_failed());
       const auto top1 = analyzer.level2().predict_topk(
           features::extract_from_source(
@@ -125,7 +133,7 @@ TEST(Integration, ThresholdLimitsWrongLabels) {
   std::size_t count = 0;
   for (const std::string& base : bases) {
     const Sample sample = make_mixed_sample(base, 2, rng);
-    const ScriptReport report = analyzer.analyze(sample.source);
+    const ScriptReport report = report_for(analyzer, sample.source);
     ASSERT_FALSE(report.parse_failed());
     const auto truth = indices_from_techniques(sample.techniques);
     const auto predicted = indices_from_techniques(report.techniques);
@@ -144,7 +152,7 @@ TEST(Integration, PackerDetectedAsTransformed) {
   std::size_t detected = 0;
   for (const std::string& base : bases) {
     const std::string packed = transform::pack(base, rng);
-    const ScriptReport report = analyzer.analyze(packed);
+    const ScriptReport report = report_for(analyzer, packed);
     ASSERT_FALSE(report.parse_failed());
     if (report.level1.transformed()) ++detected;
   }
@@ -160,7 +168,7 @@ TEST(Integration, WildPopulationRatesOrdered) {
     std::size_t transformed = 0;
     std::size_t parsed = 0;
     for (const Sample& sample : samples) {
-      const ScriptReport report = analyzer.analyze(sample.source);
+      const ScriptReport report = report_for(analyzer, sample.source);
       if (report.parse_failed()) continue;
       ++parsed;
       if (report.level1.transformed()) ++transformed;
@@ -193,8 +201,8 @@ TEST(Integration, ChainAndIndependentBothTrain) {
   EXPECT_TRUE(independent.trained());
 
   const std::string probe = held_out_regular(1, 31337)[0];
-  EXPECT_FALSE(chain.analyze(probe).parse_failed());
-  EXPECT_FALSE(independent.analyze(probe).parse_failed());
+  EXPECT_FALSE(report_for(chain, probe).parse_failed());
+  EXPECT_FALSE(report_for(independent, probe).parse_failed());
 }
 
 TEST(Service, RequiresTrainedAnalyzer) {

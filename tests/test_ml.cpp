@@ -318,7 +318,8 @@ TEST(MultiLabel, PredictSetThreshold) {
   params.tree_count = 8;
   classifier.fit(Matrix{&task.rows}, task.labels, params, rng);
   const std::vector<float> row = {0.9f, 0.9f};
-  const auto set = classifier.predict_set(row, 0.5);
+  const auto set = top_k_labels(classifier.predict_proba(row),
+                                classifier.label_count(), 0.5);
   EXPECT_EQ(set.size(), 3u);
 }
 
@@ -330,7 +331,7 @@ TEST(MultiLabel, TopkOrdering) {
   params.tree_count = 8;
   classifier.fit(Matrix{&task.rows}, task.labels, params, rng);
   const std::vector<float> row = {0.9f, 0.1f};
-  const auto top2 = classifier.predict_topk(row, 2);
+  const auto top2 = top_k_labels(classifier.predict_proba(row), 2);
   ASSERT_EQ(top2.size(), 2u);
   // Labels 0 and 1 are the confident ones.
   EXPECT_TRUE((top2[0] == 0 || top2[0] == 1));
@@ -346,9 +347,26 @@ TEST(MultiLabel, TopkThresholded) {
   classifier.fit(Matrix{&task.rows}, task.labels, params, rng);
   const std::vector<float> row = {0.9f, 0.1f};
   // With a high threshold only the confident labels remain, regardless of k.
-  const auto picked = classifier.predict_topk_thresholded(row, 3, 0.6);
+  const auto picked = top_k_labels(classifier.predict_proba(row), 3, 0.6);
   EXPECT_LE(picked.size(), 2u);
   EXPECT_FALSE(picked.empty());
+}
+
+TEST(MultiLabel, TopKLabelsRanksStablyAndThresholds) {
+  const std::vector<double> probabilities = {0.3, 0.7, 0.3, 0.05, 0.7};
+  // Descending probability; equal probabilities keep ascending label order.
+  EXPECT_EQ(top_k_labels(probabilities, 3),
+            (std::vector<std::size_t>{1, 4, 0}));
+  EXPECT_EQ(top_k_labels(probabilities, 9),
+            (std::vector<std::size_t>{1, 4, 0, 2, 3}));
+  EXPECT_TRUE(top_k_labels(probabilities, 0).empty());
+  // The threshold is inclusive and applies before k.
+  EXPECT_EQ(top_k_labels(probabilities, 5, 0.3),
+            (std::vector<std::size_t>{1, 4, 0, 2}));
+  EXPECT_EQ(top_k_labels(probabilities, 1, 0.3),
+            (std::vector<std::size_t>{1}));
+  EXPECT_TRUE(top_k_labels(probabilities, 5, 0.8).empty());
+  EXPECT_TRUE(top_k_labels({}, 3).empty());
 }
 
 TEST(MultiLabel, RaggedLabelsRejected) {
