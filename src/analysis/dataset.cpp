@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "analysis/pipeline.h"
 #include "corpus/snippets.h"
 #include "support/thread_pool.h"
 #include "transform/transform.h"
@@ -145,18 +146,20 @@ FeatureTable extract_features(std::vector<Sample> samples,
   table.samples = std::move(samples);
   table.rows.resize(table.samples.size());
   // Each sample parses + extracts independently through the serving
-  // extractor. Every lane claims samples one at a time and reuses its own
-  // scratch, which is freed when training moves on (a thread_local would
+  // front end and extractor. Every lane claims samples one at a time and
+  // reuses its own scratch — pooled arena and atom table included — which
+  // is freed when training moves on (the thread's serving scratch would
   // keep each worker's largest training script resident while serving);
   // rows land at their own index, so the table is identical for any
   // thread count.
   const std::size_t lanes = support::resolve_threads(0);
   std::atomic<std::size_t> next{0};
   support::run_parallel(lanes, lanes, [&](std::size_t) {
-    features::ExtractScratch scratch;
+    ScriptScratch scratch;
     for (std::size_t i = next++; i < table.samples.size(); i = next++) {
-      table.rows[i] = features::extract_from_source(table.samples[i].source,
-                                                    config, scratch);
+      const ScriptAnalysis analysis = scratch.analyze_front_end(
+          table.samples[i].source, config.analysis);
+      table.rows[i] = features::extract_into(analysis, config, scratch.extract);
     }
   });
   return table;

@@ -386,6 +386,20 @@ void TransformationAnalyzer::load(std::istream& in) {
   trained_ = true;
 }
 
+ScriptAnalysis ScriptScratch::analyze_front_end(std::string_view source,
+                                                AnalysisOptions options) {
+  options.dataflow_scratch = &extract.dataflow;
+  options.cfg_scratch = &extract.cfg;
+  options.arena = &arena;
+  options.atoms = &atoms;
+  return analyze_script(source, options);
+}
+
+ScriptScratch& thread_script_scratch() {
+  static thread_local ScriptScratch scratch;
+  return scratch;
+}
+
 // The resource-governed per-script pipeline (DESIGN.md §10). Hard stages
 // (lex/parse/CFG) throw BudgetExceeded, mapped to a budget status here;
 // soft stages (data flow, features, inference) degrade: the outcome keeps
@@ -428,11 +442,7 @@ ScriptOutcome TransformationAnalyzer::analyze_outcome(
     try {
       AnalysisOptions analysis_options = options_.detector.features.analysis;
       analysis_options.budget = governed ? &budget : nullptr;
-      analysis_options.dataflow_scratch = &scratch.extract.dataflow;
-      analysis_options.cfg_scratch = &scratch.extract.cfg;
-      analysis_options.arena = &scratch.arena;
-      analysis_options.atoms = &scratch.atoms;
-      analysis = analyze_script(source, analysis_options);
+      analysis = scratch.analyze_front_end(source, analysis_options);
     } catch (const BudgetExceeded& error) {
       outcome.status = status_for_trip(error.trip().kind);
       outcome.report.status = outcome.status;

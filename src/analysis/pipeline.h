@@ -143,7 +143,20 @@ struct ScriptScratch {
     return extract.capacity_bytes() + predict.capacity_bytes() +
            arena.capacity_bytes() + atoms.capacity_bytes();
   }
+
+  // The pooled front end shared by serving and training: lex, parse, CFG
+  // and data flow of `source` (per `options`' switches and budget) with
+  // the arena, atom table and CFG/data-flow workspaces taken from this
+  // scratch. The result is valid until the scratch's next use.
+  ScriptAnalysis analyze_front_end(std::string_view source,
+                                   AnalysisOptions options);
 };
+
+// The calling thread's ScriptScratch. Every serving entry point on a
+// thread (AnalyzerService::analyze, analyze_batch lanes) goes through this
+// one accessor, so a pool thread pins one pooled arena — grown to the
+// largest script it has served — not one per entry point.
+ScriptScratch& thread_script_scratch();
 
 class TransformationAnalyzer {
  public:

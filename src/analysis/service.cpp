@@ -282,10 +282,10 @@ AnalyzeResponse AnalyzerService::analyze_with_scratch(
 
 AnalyzeResponse AnalyzerService::analyze(
     const AnalyzeRequest& request, const ResourceLimits& default_limits) const {
-  // Per-thread scratch, shared with every other single-request call this
-  // thread makes (same reuse discipline as the batch workers).
-  static thread_local ScriptScratch scratch;
-  return analyze_with_scratch(request, default_limits, scratch);
+  // The thread's one scratch, shared with every other call this thread
+  // makes — single requests and batch lanes alike.
+  return analyze_with_scratch(request, default_limits,
+                              thread_script_scratch());
 }
 
 BatchResponse AnalyzerService::analyze_batch(
@@ -299,11 +299,11 @@ BatchResponse AnalyzerService::analyze_batch(
   const auto start = std::chrono::steady_clock::now();
   support::run_parallel(threads, requests.size(), [&](std::size_t i) {
     // One scratch per worker thread, reused for every script the worker
-    // analyzes (in this batch and all later ones): feature extraction and
-    // inference run allocation-free once the buffers have warmed up.
-    static thread_local ScriptScratch scratch;
-    result.responses[i] =
-        analyze_with_scratch(requests[i], options.limits, scratch);
+    // analyzes (in this batch, all later ones, and single requests): the
+    // front end, feature extraction and inference run allocation-free
+    // once the buffers have warmed up.
+    result.responses[i] = analyze_with_scratch(requests[i], options.limits,
+                                               thread_script_scratch());
   });
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)

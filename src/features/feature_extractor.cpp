@@ -29,19 +29,13 @@ std::vector<std::string> feature_names(const FeatureConfig& config) {
 }
 
 std::vector<float> extract_from_source(std::string_view source,
-                                       const FeatureConfig& config,
-                                       ExtractScratch& scratch) {
+                                       const FeatureConfig& config) {
+  ExtractScratch scratch;
   AnalysisOptions options = config.analysis;
   options.dataflow_scratch = &scratch.dataflow;
   options.cfg_scratch = &scratch.cfg;
   const ScriptAnalysis analysis = analyze_script(source, options);
   return extract_into(analysis, config, scratch);
-}
-
-std::vector<float> extract_from_source(std::string_view source,
-                                       const FeatureConfig& config) {
-  ExtractScratch scratch;
-  return extract_from_source(source, config, scratch);
 }
 
 const std::vector<float>& extract_into(const ScriptAnalysis& analysis,

@@ -39,12 +39,9 @@ const std::vector<float>& extract_into(const ScriptAnalysis& analysis,
                                        const FeatureConfig& config,
                                        ExtractScratch& scratch);
 
-// Parses + analyzes + extracts in one call, reusing `scratch`'s data-flow
-// and CFG workspaces for the analysis. Throws ParseError.
-std::vector<float> extract_from_source(std::string_view source,
-                                       const FeatureConfig& config,
-                                       ExtractScratch& scratch);
-// Same, with a private scratch.
+// Parses + analyzes + extracts in one call with private workspaces (the
+// pooled equivalent is analysis::ScriptScratch::analyze_front_end +
+// extract_into). Throws ParseError.
 std::vector<float> extract_from_source(std::string_view source,
                                        const FeatureConfig& config);
 

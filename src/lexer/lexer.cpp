@@ -1,6 +1,8 @@
 #include "lexer/lexer.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "lexer/char_class.h"
 #include "lexer/scan.h"
@@ -23,39 +25,55 @@ std::string_view view_of(const support::ArenaVec<char>& cooked) {
   return std::string_view(cooked.data(), cooked.size());
 }
 
+// Word ids bucketed by spelling length, built at compile time: a scanned
+// name is compared only against the (at most nine) words of its length.
+constexpr std::size_t kMaxWordLength = 10;
+constexpr std::size_t kBucketWidth = 12;
+
+struct WordBuckets {
+  std::array<std::array<std::uint8_t, kBucketWidth>, kMaxWordLength + 1> ids{};
+  std::array<std::uint8_t, kMaxWordLength + 1> sizes{};
+};
+
+constexpr WordBuckets build_word_buckets() {
+  WordBuckets buckets;
+  for (std::size_t id = kFirstKeywordId; id < kTokenTexts.size(); ++id) {
+    const std::size_t length = kTokenTexts[id].size();
+    if (length > kMaxWordLength || buckets.sizes[length] == kBucketWidth) {
+      throw "word bucket overflow";
+    }
+    buckets.ids[length][buckets.sizes[length]++] =
+        static_cast<std::uint8_t>(id);
+  }
+  return buckets;
+}
+
+constexpr WordBuckets kWordBuckets = build_word_buckets();
+
+// Id of a scanned word (cooked identifier name): a keyword, literal word
+// or contextual word id, or 0 for an ordinary identifier.
+std::uint8_t word_id(std::string_view word) {
+  if (word.size() > kMaxWordLength) return 0;
+  const auto& bucket = kWordBuckets.ids[word.size()];
+  for (std::size_t i = 0; i < kWordBuckets.sizes[word.size()]; ++i) {
+    if (kTokenTexts[bucket[i]] == word) return bucket[i];
+  }
+  return 0;
+}
+
 }  // namespace
 
-// Length-bucketed keyword membership: a switch on the word length plus
-// direct comparisons replaces the historical unordered_set probe (same
-// 33-word set, no hashing, no cold table walk).
 bool is_js_keyword(std::string_view w) {
-  switch (w.size()) {
-    case 2:
-      return w == "do" || w == "if" || w == "in";
-    case 3:
-      return w == "for" || w == "new" || w == "try" || w == "var";
-    case 4:
-      return w == "case" || w == "else" || w == "this" || w == "void" ||
-             w == "with";
-    case 5:
-      return w == "break" || w == "catch" || w == "class" || w == "const" ||
-             w == "super" || w == "throw" || w == "while" || w == "yield";
-    case 6:
-      return w == "delete" || w == "export" || w == "import" ||
-             w == "return" || w == "switch" || w == "typeof";
-    case 7:
-      return w == "default" || w == "extends" || w == "finally";
-    case 8:
-      return w == "continue" || w == "debugger" || w == "function";
-    case 10:
-      return w == "instanceof";
-    default:
-      return false;
-  }
+  const std::uint8_t id = word_id(w);
+  return id >= kFirstKeywordId && id < kFirstLiteralWordId;
 }
 
 Lexer::Lexer(std::string_view source, support::Arena& arena, Budget* budget)
-    : source_(source), arena_(&arena), budget_(budget) {}
+    : source_(source), arena_(&arena), payloads_(arena), budget_(budget) {
+  if (source.size() > std::numeric_limits<std::uint32_t>::max()) {
+    fail("source too large (4 GiB or more)");
+  }
+}
 
 char Lexer::peek(std::size_t ahead) const {
   return pos_ + ahead < source_.size() ? source_[pos_ + ahead] : '\0';
@@ -162,16 +180,23 @@ void Lexer::skip_trivia() {
   }
 }
 
-Token Lexer::make_token(TokenType type, std::size_t start_offset,
-                        std::size_t start_line, std::size_t start_column) {
-  Token token;
-  token.type = type;
-  token.offset = start_offset;
-  token.line = start_line;
-  token.column = start_column;
-  token.raw = slice(start_offset, pos_);
-  token.newline_before = newline_pending_;
-  return token;
+void Lexer::finish(TokenRecord& record, TokenType type, std::uint8_t id) {
+  record.offset = static_cast<std::uint32_t>(token_start_);
+  record.extent = static_cast<std::uint32_t>(pos_ - token_start_);
+  record.line = static_cast<std::uint32_t>(token_line_);
+  record.type = type;
+  record.id = id;
+  record.newline_before = newline_pending_;
+  record.has_payload = false;
+}
+
+TokenPayload& Lexer::attach_payload(TokenRecord& record) {
+  payloads_.push_back(TokenPayload{});
+  TokenPayload& payload = payloads_.back();
+  payload.raw_length = record.extent;
+  record.extent = static_cast<std::uint32_t>(payloads_.size() - 1);
+  record.has_payload = true;
+  return payload;
 }
 
 bool Lexer::regex_allowed() const {
@@ -188,73 +213,128 @@ bool Lexer::regex_allowed() const {
     case TokenType::kKeyword:
       // `this` and `super` end an expression; everything else (return,
       // typeof, in, case, ...) is followed by an expression position.
-      return previous_value_ != "this" && previous_value_ != "super";
+      return previous_id_ != token_id("this") &&
+             previous_id_ != token_id("super");
     case TokenType::kPunctuator:
       // After a closing bracket of an expression, '/' is division. After
       // ')' it is ambiguous (if/for/while conditions end with ')'), and
       // Esprima resolves this with parser feedback; our tokenizer-level
       // heuristic treats ')' and ']' as expression ends, '}' as a block
       // end (regex allowed), matching typical minified code.
-      return previous_value_ != ")" && previous_value_ != "]" &&
-             previous_value_ != "++" && previous_value_ != "--";
+      return previous_id_ != token_id(")") && previous_id_ != token_id("]") &&
+             previous_id_ != token_id("++") && previous_id_ != token_id("--");
     default:
       return true;
   }
 }
 
-Token Lexer::next() {
+void Lexer::scan(TokenRecord& record) {
   if (budget_ != nullptr) budget_->charge_tokens();
   newline_pending_ = false;
   skip_trivia();
-  const std::size_t start_offset = pos_;
-  const std::size_t start_line = line_;
-  const std::size_t start_column = column_;
+  token_start_ = pos_;
+  token_line_ = line_;
+  token_column_ = column_;
   if (eof()) {
-    Token token = make_token(TokenType::kEndOfFile, start_offset, start_line,
-                             start_column);
-    return token;
+    finish(record, TokenType::kEndOfFile);
+    return;
   }
 
   // One table load + indexed jump routes the leading byte to its scanner.
   const char c = source_[pos_];
-  Token token;
   switch (kCharClass[uc(c)]) {
     case CharClass::kIdStart:
     case CharClass::kBackslash:
-      token = scan_identifier_or_keyword();
+      scan_identifier_or_keyword(record);
       break;
     case CharClass::kDigit:
-      token = scan_number();
+      scan_number(record);
       break;
     case CharClass::kDot:
-      token = lex::is_digit_byte(uc(peek(1))) ? scan_number()
-                                              : scan_punctuator();
+      if (lex::is_digit_byte(uc(peek(1)))) {
+        scan_number(record);
+      } else {
+        scan_punctuator(record);
+      }
       break;
     case CharClass::kQuote:
-      token = scan_string(c);
+      scan_string(record, c);
       break;
     case CharClass::kBacktick:
-      token = scan_template();
+      scan_template(record);
       break;
     case CharClass::kSlash:
-      token = regex_allowed() ? scan_regex() : scan_punctuator();
+      if (regex_allowed()) {
+        scan_regex(record);
+      } else {
+        scan_punctuator(record);
+      }
       break;
     default:
-      token = scan_punctuator();
+      scan_punctuator(record);
       break;
   }
   has_previous_ = true;
-  previous_type_ = token.type;
-  previous_value_ = token.value;
+  previous_type_ = record.type;
+  previous_id_ = record.id;
+}
+
+TokenStream Lexer::scan_all(TokenStats* stats, std::size_t reserve_limit) {
+  std::size_t capacity = std::min(source_.size() - pos_ + 1,
+                                  std::max<std::size_t>(reserve_limit, 1));
+  TokenRecord* records = arena_->alloc_array<TokenRecord>(capacity);
+  std::size_t count = 0;
+  while (true) {
+    if (count == capacity) {  // only under a reserve limit
+      TokenRecord* grown = arena_->alloc_array<TokenRecord>(capacity * 2);
+      std::copy(records, records + count, grown);
+      records = grown;
+      capacity *= 2;
+    }
+    TokenRecord& record = records[count];
+    scan(record);
+    if (record.type == TokenType::kEndOfFile) break;
+    if (stats != nullptr) {
+      const std::size_t raw_length = pos_ - token_start_;
+      if (record.type == TokenType::kPunctuator) ++stats->punctuators;
+      stats->raw_bytes += static_cast<double>(raw_length);
+      stats->max_line_length =
+          std::max(stats->max_line_length, token_column_ + raw_length);
+    }
+    ++count;
+  }
+  if (stats != nullptr) stats->count = count;
+  return TokenStream{source_, records, count, payloads_.data()};
+}
+
+Token Lexer::next() {
+  TokenRecord record;
+  scan(record);
+  // A record-less view: value/raw/payload read only the source and the
+  // side table.
+  const TokenStream view{source_, nullptr, 0, payloads_.data()};
+  Token token;
+  token.type = record.type;
+  token.value = view.value(record);
+  token.raw = view.raw(record);
+  token.offset = record.offset;
+  token.line = record.line;
+  token.column = token_column_;
+  token.newline_before = record.newline_before;
+  if (record.has_payload) {
+    const TokenPayload& payload = view.payload(record);
+    token.number = payload.number;
+    token.regex_flags = payload.regex_flags;
+    token.template_expressions = payload.template_expressions;
+    token.template_quasis = payload.template_quasis;
+  }
   return token;
 }
 
-Token Lexer::scan_identifier_or_keyword() {
+void Lexer::scan_identifier_or_keyword(TokenRecord& record) {
   const char* data = source_.data();
   const std::size_t size = source_.size();
   const std::size_t start_offset = pos_;
-  const std::size_t start_line = line_;
-  const std::size_t start_column = column_;
   // Zero-copy fast path: the name is the source slice until a \uXXXX
   // escape makes the cooked name differ, at which point the prefix is
   // copied into the arena and cooking continues there. Identifier
@@ -300,29 +380,20 @@ Token Lexer::scan_identifier_or_keyword() {
   }
   const std::string_view name =
       dirty ? view_of(cooked) : slice(start_offset, pos_);
-  Token token;
-  if (name == "true" || name == "false") {
-    token = make_token(TokenType::kBooleanLiteral, start_offset, start_line,
-                       start_column);
-  } else if (name == "null") {
-    token = make_token(TokenType::kNullLiteral, start_offset, start_line,
-                       start_column);
-  } else if (is_js_keyword(name)) {
-    token =
-        make_token(TokenType::kKeyword, start_offset, start_line, start_column);
-  } else {
-    token = make_token(TokenType::kIdentifier, start_offset, start_line,
-                       start_column);
+  const std::uint8_t id = word_id(name);
+  TokenType type = TokenType::kIdentifier;
+  if (id >= kFirstKeywordId && id < kFirstLiteralWordId) {
+    type = TokenType::kKeyword;
+  } else if (id == token_id("true") || id == token_id("false")) {
+    type = TokenType::kBooleanLiteral;
+  } else if (id == token_id("null")) {
+    type = TokenType::kNullLiteral;
   }
-  token.value = name;
-  return token;
+  finish(record, type, id);
+  if (dirty) attach_payload(record).value = name;
 }
 
-Token Lexer::scan_number() {
-  const std::size_t start_offset = pos_;
-  const std::size_t start_line = line_;
-  const std::size_t start_column = column_;
-
+void Lexer::scan_number(TokenRecord& record) {
   double value = 0.0;
   if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
     advance();
@@ -371,19 +442,15 @@ Token Lexer::scan_number() {
     fail("identifier starts immediately after number");
   }
 
-  Token token = make_token(TokenType::kNumericLiteral, start_offset, start_line,
-                           start_column);
-  token.number = value;
-  token.value = token.raw;
-  return token;
+  finish(record, TokenType::kNumericLiteral);
+  TokenPayload& payload = attach_payload(record);
+  payload.value = slice(token_start_, pos_);
+  payload.number = value;
 }
 
-Token Lexer::scan_string(char quote) {
+void Lexer::scan_string(TokenRecord& record, char quote) {
   const char* data = source_.data();
   const std::size_t size = source_.size();
-  const std::size_t start_offset = pos_;
-  const std::size_t start_line = line_;
-  const std::size_t start_column = column_;
   advance();  // opening quote
   // Zero-copy fast path: the cooked value equals the source slice between
   // the quotes until the first backslash; from there the prefix is copied
@@ -485,18 +552,15 @@ Token Lexer::scan_string(char quote) {
         cooked.push_back(esc);
     }
   }
-  Token token = make_token(TokenType::kStringLiteral, start_offset, start_line,
-                           start_column);
-  token.value = dirty ? view_of(cooked) : slice(content_start, pos_ - 1);
-  return token;
+  // An escape-free value is the raw slice between the quotes, which
+  // TokenStream::value derives; only a cooked value needs the side table.
+  finish(record, TokenType::kStringLiteral);
+  if (dirty) attach_payload(record).value = view_of(cooked);
 }
 
-Token Lexer::scan_template() {
+void Lexer::scan_template(TokenRecord& record) {
   const char* data = source_.data();
   const std::size_t size = source_.size();
-  const std::size_t start_offset = pos_;
-  const std::size_t start_line = line_;
-  const std::size_t start_column = column_;
   advance();  // opening backtick
 
   // Quasis are always verbatim source slices (escapes are kept raw);
@@ -606,20 +670,16 @@ Token Lexer::scan_template() {
     // let the next block scan resume after it.
   }
 
-  Token token =
-      make_token(TokenType::kTemplate, start_offset, start_line, start_column);
-  token.value = token.raw;
-  token.template_expressions =
+  finish(record, TokenType::kTemplate);
+  TokenPayload& payload = attach_payload(record);
+  payload.value = slice(token_start_, pos_);
+  payload.template_expressions =
       std::span<const std::string_view>(expressions.data(), expressions.size());
-  token.template_quasis =
+  payload.template_quasis =
       std::span<const std::string_view>(quasis.data(), quasis.size());
-  return token;
 }
 
-Token Lexer::scan_regex() {
-  const std::size_t start_offset = pos_;
-  const std::size_t start_line = line_;
-  const std::size_t start_column = column_;
+void Lexer::scan_regex(TokenRecord& record) {
   advance();  // '/'
   // The pattern is always the verbatim slice between the delimiting
   // slashes (escapes are kept raw), so no cooking is ever needed.
@@ -648,97 +708,91 @@ Token Lexer::scan_regex() {
     advance();
   }
 
-  Token token = make_token(TokenType::kRegularExpression, start_offset,
-                           start_line, start_column);
-  token.value = pattern;
-  token.regex_flags = slice(flags_start, pos_);
-  return token;
+  finish(record, TokenType::kRegularExpression);
+  TokenPayload& payload = attach_payload(record);
+  payload.value = pattern;
+  payload.regex_flags = slice(flags_start, pos_);
 }
 
-Token Lexer::scan_punctuator() {
-  const std::size_t start_offset = pos_;
-  const std::size_t start_line = line_;
-  const std::size_t start_column = column_;
-
+void Lexer::scan_punctuator(TokenRecord& record) {
   // Table-driven longest match: a switch on the first byte with ordered
   // follower checks replaces the historical linear scan over the 57-entry
-  // punctuator list. Every returned text is a string literal (static
-  // storage), so the value view outlives every arena.
-  const auto emit = [&](std::string_view text) {
-    skip_run(text.size());
-    Token token = make_token(TokenType::kPunctuator, start_offset, start_line,
-                             start_column);
-    token.value = text;
-    return token;
+  // punctuator list. The record carries the punctuator's id; its text
+  // (kTokenTexts, static storage) outlives every arena.
+  const auto emit = [&](std::uint8_t id) {
+    skip_run(kTokenTexts[id].size());
+    finish(record, TokenType::kPunctuator, id);
   };
   const char c1 = peek();
   const char c2 = peek(1);
   const char c3 = peek(2);
   switch (c1) {
-    case '{': return emit("{");
-    case '}': return emit("}");
-    case '(': return emit("(");
-    case ')': return emit(")");
-    case '[': return emit("[");
-    case ']': return emit("]");
-    case ';': return emit(";");
-    case ',': return emit(",");
-    case ':': return emit(":");
-    case '~': return emit("~");
+    case '{': return emit(token_id("{"));
+    case '}': return emit(token_id("}"));
+    case '(': return emit(token_id("("));
+    case ')': return emit(token_id(")"));
+    case '[': return emit(token_id("["));
+    case ']': return emit(token_id("]"));
+    case ';': return emit(token_id(";"));
+    case ',': return emit(token_id(","));
+    case ':': return emit(token_id(":"));
+    case '~': return emit(token_id("~"));
     case '.':
-      if (c2 == '.' && c3 == '.') return emit("...");
-      return emit(".");
+      if (c2 == '.' && c3 == '.') return emit(token_id("..."));
+      return emit(token_id("."));
     case '<':
-      if (c2 == '<') return emit(c3 == '=' ? "<<=" : "<<");
-      if (c2 == '=') return emit("<=");
-      return emit("<");
+      if (c2 == '<') return emit(c3 == '=' ? token_id("<<=") : token_id("<<"));
+      if (c2 == '=') return emit(token_id("<="));
+      return emit(token_id("<"));
     case '>':
       if (c2 == '>') {
-        if (c3 == '>') return emit(peek(3) == '=' ? ">>>=" : ">>>");
-        return emit(c3 == '=' ? ">>=" : ">>");
+        if (c3 == '>') {
+          return emit(peek(3) == '=' ? token_id(">>>=") : token_id(">>>"));
+        }
+        return emit(c3 == '=' ? token_id(">>=") : token_id(">>"));
       }
-      if (c2 == '=') return emit(">=");
-      return emit(">");
+      if (c2 == '=') return emit(token_id(">="));
+      return emit(token_id(">"));
     case '=':
-      if (c2 == '=') return emit(c3 == '=' ? "===" : "==");
-      if (c2 == '>') return emit("=>");
-      return emit("=");
+      if (c2 == '=') return emit(c3 == '=' ? token_id("===") : token_id("=="));
+      if (c2 == '>') return emit(token_id("=>"));
+      return emit(token_id("="));
     case '!':
-      if (c2 == '=') return emit(c3 == '=' ? "!==" : "!=");
-      return emit("!");
+      if (c2 == '=') return emit(c3 == '=' ? token_id("!==") : token_id("!="));
+      return emit(token_id("!"));
     case '+':
-      if (c2 == '+') return emit("++");
-      if (c2 == '=') return emit("+=");
-      return emit("+");
+      if (c2 == '+') return emit(token_id("++"));
+      if (c2 == '=') return emit(token_id("+="));
+      return emit(token_id("+"));
     case '-':
-      if (c2 == '-') return emit("--");
-      if (c2 == '=') return emit("-=");
-      return emit("-");
+      if (c2 == '-') return emit(token_id("--"));
+      if (c2 == '=') return emit(token_id("-="));
+      return emit(token_id("-"));
     case '*':
-      if (c2 == '*') return emit(c3 == '=' ? "**=" : "**");
-      if (c2 == '=') return emit("*=");
-      return emit("*");
+      if (c2 == '*') return emit(c3 == '=' ? token_id("**=") : token_id("**"));
+      if (c2 == '=') return emit(token_id("*="));
+      return emit(token_id("*"));
     case '/':
-      if (c2 == '=') return emit("/=");
-      return emit("/");
+      if (c2 == '=') return emit(token_id("/="));
+      return emit(token_id("/"));
     case '%':
-      if (c2 == '=') return emit("%=");
-      return emit("%");
+      if (c2 == '=') return emit(token_id("%="));
+      return emit(token_id("%"));
     case '&':
-      if (c2 == '&') return emit(c3 == '=' ? "&&=" : "&&");
-      if (c2 == '=') return emit("&=");
-      return emit("&");
+      if (c2 == '&') return emit(c3 == '=' ? token_id("&&=") : token_id("&&"));
+      if (c2 == '=') return emit(token_id("&="));
+      return emit(token_id("&"));
     case '|':
-      if (c2 == '|') return emit(c3 == '=' ? "||=" : "||");
-      if (c2 == '=') return emit("|=");
-      return emit("|");
+      if (c2 == '|') return emit(c3 == '=' ? token_id("||=") : token_id("||"));
+      if (c2 == '=') return emit(token_id("|="));
+      return emit(token_id("|"));
     case '^':
-      if (c2 == '=') return emit("^=");
-      return emit("^");
+      if (c2 == '=') return emit(token_id("^="));
+      return emit(token_id("^"));
     case '?':
-      if (c2 == '?') return emit(c3 == '=' ? "?\?=" : "??");
-      if (c2 == '.') return emit("?.");
-      return emit("?");
+      if (c2 == '?') return emit(c3 == '=' ? token_id("?\?=") : token_id("??"));
+      if (c2 == '.') return emit(token_id("?."));
+      return emit(token_id("?"));
     default:
       break;
   }

@@ -13,7 +13,9 @@ namespace {
 
 void copy_token(char (&dst)[17], std::string_view src) {
   const std::size_t n = src.size() < 16 ? src.size() : 16;
-  std::memcpy(dst, src.data(), n);
+  // An empty view may carry a null data(); memcpy from null is undefined
+  // even for zero bytes.
+  if (n > 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

@@ -1,54 +1,52 @@
 #include "parser/parser.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <array>
+#include <cstdint>
+#include <utility>
 
 #include "obs/trace.h"
 
 namespace jst {
 namespace {
 
-// Binary operator precedence (higher binds tighter). Mirrors the ES spec's
-// MultiplicativeExpression..RelationalExpression ladder; && / || / ?? are
-// handled here too and distinguished into LogicalExpression nodes.
-int binary_precedence(const Token& token) {
-  if (token.type == TokenType::kKeyword) {
-    if (token.value == "instanceof" || token.value == "in") return 7;
-    return -1;
-  }
-  if (token.type != TokenType::kPunctuator) return -1;
-  static const std::unordered_map<std::string_view, int> kPrecedence = {
-      {"??", 1},
-      {"||", 2},
-      {"&&", 3},
-      {"|", 4},
-      {"^", 5},
-      {"&", 6},
-      {"==", 7}, {"!=", 7}, {"===", 7}, {"!==", 7},
-      {"<", 8}, {">", 8}, {"<=", 8}, {">=", 8},
-      {"<<", 9}, {">>", 9}, {">>>", 9},
-      {"+", 10}, {"-", 10},
-      {"*", 11}, {"/", 11}, {"%", 11},
+// Per-id operator tables over kTokenTexts, built at compile time.
+using IdTable = std::array<std::int8_t, kTokenTexts.size()>;
+
+// Binary operator precedence (higher binds tighter; -1 = not a binary
+// operator). Mirrors the ES spec's MultiplicativeExpression..
+// RelationalExpression ladder; && / || / ?? are handled here too and
+// distinguished into LogicalExpression nodes. `in`/`instanceof` share the
+// equality tier (8 in spec) — the numbering differs from the spec's but
+// preserves relative order, which is all the climbing loop relies on.
+constexpr IdTable kBinaryPrecedence = []() consteval {
+  IdTable table{};
+  table.fill(-1);
+  const std::pair<const char*, std::int8_t> operators[] = {
+      {"??", 1},  {"||", 2},  {"&&", 3},  {"|", 4},   {"^", 5},
+      {"&", 6},   {"==", 7},  {"!=", 7},  {"===", 7}, {"!==", 7},
+      {"in", 7},  {"instanceof", 7},      {"<", 8},   {">", 8},
+      {"<=", 8},  {">=", 8},  {"<<", 9},  {">>", 9},  {">>>", 9},
+      {"+", 10},  {"-", 10},  {"*", 11},  {"/", 11},  {"%", 11},
       {"**", 12},
   };
-  const auto it = kPrecedence.find(token.value);
-  return it == kPrecedence.end() ? -1 : it->second;
-}
+  for (const auto& [text, precedence] : operators) {
+    table[token_id(text)] = precedence;
+  }
+  return table;
+}();
 
-// Precedence of equality/relational operators in the table above differs
-// from the spec's exact numbering but preserves relative order, except that
-// `in`/`instanceof` share the equality tier (8 in spec); harmless for the
-// constructs we parse since we never rely on absolute values.
+constexpr IdTable kIsAssignmentOperator = []() consteval {
+  IdTable table{};
+  for (const char* text :
+       {"=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", ">>>=", "&=", "|=",
+        "^=", "**=", "&&=", "||=", "?\?="}) {
+    table[token_id(text)] = 1;
+  }
+  return table;
+}();
 
-bool is_logical_op(std::string_view op) {
-  return op == "&&" || op == "||" || op == "??";
-}
-
-bool is_assignment_op(std::string_view op) {
-  return op == "=" || op == "+=" || op == "-=" || op == "*=" || op == "/=" ||
-         op == "%=" || op == "<<=" || op == ">>=" || op == ">>>=" ||
-         op == "&=" || op == "|=" || op == "^=" || op == "**=" ||
-         op == "&&=" || op == "||=" || op == "?\?=";
+bool is_logical_op(std::uint8_t id) {
+  return id == token_id("&&") || id == token_id("||") || id == token_id("??");
 }
 
 }  // namespace
@@ -86,32 +84,21 @@ ParseResult parse_program(std::string_view source, Budget* budget,
 
   if (budget != nullptr) budget->set_stage("lex");
   Lexer lexer(stable_source, frontend_arena, budget);
-  support::ArenaVec<Token> tokens(frontend_arena);
+  TokenStream tokens;
   {
     JST_SPAN("lex");
-    TokenStats& stats = result.token_stats;
-    while (true) {
-      Token token = lexer.next();
-      if (token.type == TokenType::kEndOfFile) break;
-      if (token.type == TokenType::kPunctuator) ++stats.punctuators;
-      stats.raw_bytes += static_cast<double>(token.raw.size());
-      stats.max_line_length =
-          std::max(stats.max_line_length, token.column + token.raw.size());
-      tokens.push_back(token);
-    }
-    stats.count = tokens.size();
+    tokens = lexer.scan_all(&result.token_stats);
   }
   result.comment_count = lexer.comment_count();
   result.comment_bytes = lexer.comment_bytes();
   result.source_bytes = source.size();
   result.source_lines = lexer.line();
-  result.tokens = std::span<const Token>(tokens.data(), tokens.size());
 
   JST_SPAN("parse");
   if (budget != nullptr) budget->set_stage("parse");
   result.ast.set_budget(budget);
   try {
-    Parser parser(result.tokens, result.ast, budget);
+    Parser parser(tokens, result.ast, budget);
     Node* root = parser.parse_program_body();
     result.ast.set_root(root);
     result.ast.finalize();
@@ -133,65 +120,47 @@ bool parses(std::string_view source) {
   }
 }
 
-Parser::Parser(std::span<const Token> tokens, Ast& ast, Budget* budget)
+Parser::Parser(const TokenStream& tokens, Ast& ast, Budget* budget)
     : tokens_(tokens), ast_(ast), budget_(budget) {
-  eof_token_.type = TokenType::kEndOfFile;
-  eof_token_.line = tokens_.empty() ? 1 : tokens_.back().line;
+  eof_.type = TokenType::kEndOfFile;
+  eof_.line = tokens_.count == 0 ? 1 : tokens_.records[tokens_.count - 1].line;
 }
 
-const Token& Parser::peek(std::size_t ahead) const {
-  const std::size_t i = index_ + ahead;
-  return i < tokens_.size() ? tokens_[i] : eof_token_;
-}
-
-const Token& Parser::advance() {
+const TokenRecord& Parser::advance() {
   if (at_end()) fail("unexpected end of input");
-  return tokens_[index_++];
+  return tokens_.records[index_++];
 }
 
-bool Parser::check_punct(std::string_view text, std::size_t ahead) const {
-  const Token& token = peek(ahead);
-  return token.type == TokenType::kPunctuator && token.value == text;
-}
-
-bool Parser::check_keyword(std::string_view text, std::size_t ahead) const {
-  const Token& token = peek(ahead);
-  return token.type == TokenType::kKeyword && token.value == text;
-}
-
-bool Parser::check_identifier(std::string_view text, std::size_t ahead) const {
-  const Token& token = peek(ahead);
-  return token.type == TokenType::kIdentifier && token.value == text;
-}
-
-bool Parser::match_punct(std::string_view text) {
-  if (!check_punct(text)) return false;
+bool Parser::match_punct(PunctId punct) {
+  if (!check_punct(punct)) return false;
   advance();
   return true;
 }
 
-bool Parser::match_keyword(std::string_view text) {
-  if (!check_keyword(text)) return false;
+bool Parser::match_keyword(KeywordId keyword) {
+  if (!check_keyword(keyword)) return false;
   advance();
   return true;
 }
 
-void Parser::expect_punct(std::string_view text) {
-  if (!match_punct(text)) {
-    fail("expected '" + std::string(text) + "' but found '" +
-         std::string(current().value) + "'");
+void Parser::expect_punct(PunctId punct) {
+  if (!match_punct(punct)) {
+    fail("expected '" + std::string(kTokenTexts[punct.id]) + "' but found '" +
+         std::string(value(current())) + "'");
   }
 }
 
-void Parser::expect_keyword(std::string_view text) {
-  if (!match_keyword(text)) {
-    fail("expected keyword '" + std::string(text) + "'");
+void Parser::expect_keyword(KeywordId keyword) {
+  if (!match_keyword(keyword)) {
+    fail("expected keyword '" + std::string(kTokenTexts[keyword.id]) + "'");
   }
 }
 
 void Parser::fail(const std::string& message) const {
-  const Token& token = current();
-  throw ParseError("parse error: " + message, token.line, token.column);
+  // The column is recomputed from the offset only here, on the error path.
+  const TokenRecord& token = current();
+  const std::size_t column = at_end() ? 0 : tokens_.column(token);
+  throw ParseError("parse error: " + message, token.line, column);
 }
 
 void Parser::consume_semicolon() {
@@ -199,7 +168,7 @@ void Parser::consume_semicolon() {
   // Automatic semicolon insertion: allowed before '}', at EOF, or when the
   // offending token sits on a new line.
   if (at_end() || check_punct("}") || current().newline_before) return;
-  fail("expected ';' but found '" + std::string(current().value) + "'");
+  fail("expected ';' but found '" + std::string(value(current())) + "'");
 }
 
 bool Parser::is_arrow_ahead(std::size_t ahead) const {
@@ -207,16 +176,21 @@ bool Parser::is_arrow_ahead(std::size_t ahead) const {
   std::size_t i = ahead;
   if (!check_punct("(", i)) return false;
   int depth = 0;
-  while (index_ + i < tokens_.size()) {
-    const Token& token = peek(i);
-    if (token.type == TokenType::kPunctuator) {
-      if (token.value == "(" || token.value == "[" || token.value == "{") {
+  while (index_ + i < tokens_.count) {
+    switch (peek(i).id) {
+      case token_id("("):
+      case token_id("["):
+      case token_id("{"):
         ++depth;
-      } else if (token.value == ")" || token.value == "]" ||
-                 token.value == "}") {
+        break;
+      case token_id(")"):
+      case token_id("]"):
+      case token_id("}"):
         --depth;
         if (depth == 0) return check_punct("=>", i + 1);
-      }
+        break;
+      default:
+        break;
     }
     ++i;
   }
@@ -225,7 +199,7 @@ bool Parser::is_arrow_ahead(std::size_t ahead) const {
 
 Node* Parser::parse_program_body() {
   Node* program = ast_.make(NodeKind::kProgram);
-  program->line = tokens_.empty() ? 1 : tokens_.front().line;
+  program->line = tokens_.count == 0 ? 1 : tokens_.records[0].line;
   while (!at_end()) {
     program->kids.push_back(parse_statement());
   }
@@ -234,45 +208,46 @@ Node* Parser::parse_program_body() {
 
 Node* Parser::parse_statement() {
   ParserDepthGuard depth_guard(*this);
-  const Token& token = current();
-  if (token.type == TokenType::kPunctuator) {
-    if (token.value == "{") return parse_block();
-    if (token.value == ";") {
+  const TokenRecord& token = current();
+  switch (token.id) {
+    case token_id("{"):
+      return parse_block();
+    case token_id(";"): {
       Node* node = ast_.make(NodeKind::kEmptyStatement);
       node->line = token.line;
       advance();
       return node;
     }
-  }
-  if (token.type == TokenType::kKeyword) {
-    if (token.value == "var" || token.value == "const") {
+    case token_id("var"):
+    case token_id("const"): {
       Node* decl = parse_variable_declaration();
       consume_semicolon();
       return decl;
     }
-    if (token.value == "if") return parse_if();
-    if (token.value == "for") return parse_for();
-    if (token.value == "while") return parse_while();
-    if (token.value == "do") return parse_do_while();
-    if (token.value == "switch") return parse_switch();
-    if (token.value == "try") return parse_try();
-    if (token.value == "return") return parse_return();
-    if (token.value == "throw") return parse_throw();
-    if (token.value == "break") return parse_break_continue(true);
-    if (token.value == "continue") return parse_break_continue(false);
-    if (token.value == "function") {
+    case token_id("if"): return parse_if();
+    case token_id("for"): return parse_for();
+    case token_id("while"): return parse_while();
+    case token_id("do"): return parse_do_while();
+    case token_id("switch"): return parse_switch();
+    case token_id("try"): return parse_try();
+    case token_id("return"): return parse_return();
+    case token_id("throw"): return parse_throw();
+    case token_id("break"): return parse_break_continue(true);
+    case token_id("continue"): return parse_break_continue(false);
+    case token_id("function"):
       advance();
       return parse_function(/*is_declaration=*/true, /*is_async=*/false);
-    }
-    if (token.value == "class") return parse_class(/*is_declaration=*/true);
-    if (token.value == "debugger") {
+    case token_id("class"): return parse_class(/*is_declaration=*/true);
+    case token_id("debugger"): {
       Node* node = ast_.make(NodeKind::kDebuggerStatement);
       node->line = token.line;
       advance();
       consume_semicolon();
       return node;
     }
-    if (token.value == "with") return parse_with();
+    case token_id("with"): return parse_with();
+    default:
+      break;
   }
   // Contextual keyword `let` — only a declaration when followed by a
   // binding form.
@@ -308,7 +283,7 @@ Node* Parser::parse_block() {
 Node* Parser::parse_variable_declaration() {
   Node* declaration = ast_.make(NodeKind::kVariableDeclaration);
   declaration->line = current().line;
-  declaration->str_value = advance().value;  // var / let / const
+  declaration->str_value = value(advance());  // var / let / const
   while (true) {
     Node* declarator = ast_.make(NodeKind::kVariableDeclarator);
     declarator->line = current().line;
@@ -508,7 +483,7 @@ Node* Parser::parse_break_continue(bool is_break) {
   advance();
   Node* label = nullptr;
   if (current().type == TokenType::kIdentifier && !current().newline_before) {
-    label = ast_.make_identifier(advance().value);
+    label = ast_.make_identifier(value(advance()));
   }
   consume_semicolon();
   node->kids = {label};
@@ -519,7 +494,7 @@ Node* Parser::parse_labeled_or_expression_statement() {
   if (current().type == TokenType::kIdentifier && check_punct(":", 1)) {
     Node* node = ast_.make(NodeKind::kLabeledStatement);
     node->line = current().line;
-    Node* label = ast_.make_identifier(advance().value);
+    Node* label = ast_.make_identifier(value(advance()));
     label->line = node->line;
     advance();  // ':'
     Node* body = parse_statement();
@@ -553,7 +528,7 @@ Node* Parser::parse_function(bool is_declaration, bool is_async) {
   if (match_punct("*")) node->flag_b = true;  // generator
   Node* id = nullptr;
   if (current().type == TokenType::kIdentifier) {
-    id = ast_.make_identifier(advance().value);
+    id = ast_.make_identifier(value(advance()));
   } else if (is_declaration) {
     fail("function declaration requires a name");
   }
@@ -669,7 +644,7 @@ Node* Parser::parse_binding_target() {
   }
   if (current().type == TokenType::kIdentifier ||
       check_keyword("yield")) {  // sloppy-mode binding names
-    Node* id = ast_.make_identifier(advance().value);
+    Node* id = ast_.make_identifier(value(advance()));
     return id;
   }
   fail("expected binding target");
@@ -682,7 +657,7 @@ Node* Parser::parse_class(bool is_declaration) {
   expect_keyword("class");
   Node* id = nullptr;
   if (current().type == TokenType::kIdentifier) {
-    id = ast_.make_identifier(advance().value);
+    id = ast_.make_identifier(value(advance()));
   } else if (is_declaration) {
     fail("class declaration requires a name");
   }
@@ -716,7 +691,7 @@ Node* Parser::parse_class(bool is_declaration) {
     if (match_punct("*")) is_generator = true;
     if ((check_identifier("get") || check_identifier("set")) &&
         !check_punct("(", 1)) {
-      method_kind = advance().value;
+      method_kind = value(advance());
     }
     bool computed = false;
     Node* key = parse_property_key(&computed);
@@ -757,14 +732,14 @@ Node* Parser::parse_assignment() {
   // Arrow functions: ident => ... | (params) => ... | async forms.
   if (current().type == TokenType::kIdentifier && check_punct("=>", 1) &&
       !peek(1).newline_before) {
-    Node* param = ast_.make_identifier(advance().value);
+    Node* param = ast_.make_identifier(value(advance()));
     advance();  // '=>'
     return parse_arrow_tail({param}, /*is_async=*/false);
   }
   if (check_identifier("async") && !peek(1).newline_before) {
     if (peek(1).type == TokenType::kIdentifier && check_punct("=>", 2)) {
       advance();  // async
-      Node* param = ast_.make_identifier(advance().value);
+      Node* param = ast_.make_identifier(value(advance()));
       advance();  // '=>'
       return parse_arrow_tail({param}, /*is_async=*/true);
     }
@@ -796,11 +771,10 @@ Node* Parser::parse_assignment() {
   }
 
   Node* left = parse_conditional();
-  if (current().type == TokenType::kPunctuator &&
-      is_assignment_op(current().value)) {
+  if (kIsAssignmentOperator[current().id] != 0) {
     Node* node = ast_.make(NodeKind::kAssignmentExpression);
     node->line = left->line;
-    node->str_value = advance().value;
+    node->str_value = value(advance());
     Node* right = parse_assignment();
     node->kids = {left, right};
     return node;
@@ -841,16 +815,18 @@ Node* Parser::parse_conditional() {
 Node* Parser::parse_binary(int min_precedence) {
   Node* left = parse_unary();
   while (true) {
-    const int precedence = binary_precedence(current());
+    const int precedence = kBinaryPrecedence[current().id];
     if (precedence < 0 || precedence < min_precedence) break;
-    const std::string_view op = advance().value;
+    const TokenRecord& op = advance();
     // '**' is right-associative; everything else left-associative.
-    const int next_min = (op == "**") ? precedence : precedence + 1;
+    const int next_min =
+        op.id == token_id("**") ? precedence : precedence + 1;
     Node* right = parse_binary(next_min);
-    Node* node = ast_.make(is_logical_op(op) ? NodeKind::kLogicalExpression
-                                             : NodeKind::kBinaryExpression);
+    Node* node = ast_.make(is_logical_op(op.id)
+                               ? NodeKind::kLogicalExpression
+                               : NodeKind::kBinaryExpression);
     node->line = left->line;
-    node->str_value = op;
+    node->str_value = value(op);
     node->kids = {left, right};
     left = node;
   }
@@ -859,35 +835,33 @@ Node* Parser::parse_binary(int min_precedence) {
 
 Node* Parser::parse_unary() {
   ParserDepthGuard depth_guard(*this);
-  const Token& token = current();
-  if (token.type == TokenType::kPunctuator &&
-      (token.value == "!" || token.value == "~" || token.value == "+" ||
-       token.value == "-")) {
-    Node* node = ast_.make(NodeKind::kUnaryExpression);
-    node->line = token.line;
-    node->str_value = advance().value;
-    node->flag_a = true;  // prefix
-    node->kids = {parse_unary()};
-    return node;
-  }
-  if (token.type == TokenType::kKeyword &&
-      (token.value == "typeof" || token.value == "void" ||
-       token.value == "delete")) {
-    Node* node = ast_.make(NodeKind::kUnaryExpression);
-    node->line = token.line;
-    node->str_value = advance().value;
-    node->flag_a = true;
-    node->kids = {parse_unary()};
-    return node;
-  }
-  if (token.type == TokenType::kPunctuator &&
-      (token.value == "++" || token.value == "--")) {
-    Node* node = ast_.make(NodeKind::kUpdateExpression);
-    node->line = token.line;
-    node->str_value = advance().value;
-    node->flag_a = true;  // prefix
-    node->kids = {parse_unary()};
-    return node;
+  const TokenRecord& token = current();
+  switch (token.id) {
+    case token_id("!"):
+    case token_id("~"):
+    case token_id("+"):
+    case token_id("-"):
+    case token_id("typeof"):
+    case token_id("void"):
+    case token_id("delete"): {
+      Node* node = ast_.make(NodeKind::kUnaryExpression);
+      node->line = token.line;
+      node->str_value = value(advance());
+      node->flag_a = true;  // prefix
+      node->kids = {parse_unary()};
+      return node;
+    }
+    case token_id("++"):
+    case token_id("--"): {
+      Node* node = ast_.make(NodeKind::kUpdateExpression);
+      node->line = token.line;
+      node->str_value = value(advance());
+      node->flag_a = true;  // prefix
+      node->kids = {parse_unary()};
+      return node;
+    }
+    default:
+      break;
   }
   if (check_identifier("await") && !peek(1).newline_before &&
       (peek(1).type == TokenType::kIdentifier ||
@@ -915,7 +889,7 @@ Node* Parser::parse_postfix() {
   if ((check_punct("++") || check_punct("--")) && !current().newline_before) {
     Node* node = ast_.make(NodeKind::kUpdateExpression);
     node->line = expression->line;
-    node->str_value = advance().value;
+    node->str_value = value(advance());
     node->flag_a = false;  // postfix
     node->kids = {expression};
     return node;
@@ -958,14 +932,14 @@ Node* Parser::parse_call_member(Node* base, bool allow_call) {
     if (match_punct(".")) {
       Node* node = ast_.make(NodeKind::kMemberExpression);
       node->line = base->line;
-      const Token& name = current();
+      const TokenRecord& name = current();
       if (name.type != TokenType::kIdentifier &&
           name.type != TokenType::kKeyword &&
           name.type != TokenType::kBooleanLiteral &&
           name.type != TokenType::kNullLiteral) {
         fail("expected property name after '.'");
       }
-      Node* property = ast_.make_identifier(advance().value);
+      Node* property = ast_.make_identifier(value(advance()));
       node->flag_a = false;  // dot notation
       node->kids = {base, property};
       base = node;
@@ -1003,7 +977,7 @@ Node* Parser::parse_call_member(Node* base, bool allow_call) {
       } else {
         Node* node = ast_.make(NodeKind::kMemberExpression);
         node->line = base->line;
-        Node* property = ast_.make_identifier(advance().value);
+        Node* property = ast_.make_identifier(value(advance()));
         node->kids = {base, property};
         base = node;
       }
@@ -1048,18 +1022,20 @@ Node* Parser::parse_call_member(Node* base, bool allow_call) {
   return base;
 }
 
-Node* Parser::parse_template_literal(const Token& token) {
+Node* Parser::parse_template_literal(const TokenRecord& token) {
   Node* node = ast_.make(NodeKind::kTemplateLiteral);
   node->line = token.line;
   // Interleave quasis and parsed substitution expressions:
   // quasi0, expr0, quasi1, ..., quasiN.
-  for (std::size_t i = 0; i < token.template_quasis.size(); ++i) {
+  const TokenPayload& payload = tokens_.payload(token);
+  for (std::size_t i = 0; i < payload.template_quasis.size(); ++i) {
     Node* quasi = ast_.make(NodeKind::kTemplateElement);
     quasi->line = token.line;
-    quasi->str_value = token.template_quasis[i];
+    quasi->str_value = payload.template_quasis[i];
     node->kids.push_back(quasi);
-    if (i < token.template_expressions.size()) {
-      node->kids.push_back(parse_subexpression(token.template_expressions[i]));
+    if (i < payload.template_expressions.size()) {
+      node->kids.push_back(
+          parse_subexpression(payload.template_expressions[i]));
     }
   }
   return node;
@@ -1067,18 +1043,13 @@ Node* Parser::parse_template_literal(const Token& token) {
 
 Node* Parser::parse_subexpression(std::string_view source) {
   // `source` is a template-expression view with arena lifetime already
-  // (slice of the stable source or arena-cooked), so the nested lexer can
-  // cook into the same arena without copying the sub-source again.
-  support::Arena& arena = ast_.arena();
-  Lexer lexer(source, arena, budget_);
-  support::ArenaVec<Token> tokens(arena);
-  while (true) {
-    Token token = lexer.next();
-    if (token.type == TokenType::kEndOfFile) break;
-    tokens.push_back(token);
-  }
-  Parser sub(std::span<const Token>(tokens.data(), tokens.size()), ast_,
-             budget_);
+  // (slice of the stable source or arena-cooked), so the nested scanner
+  // writes its records and cooks into the same arena without copying the
+  // sub-source again. The record reserve is capped (see scan_all): nested
+  // templates re-scan their enclosing text at every level.
+  constexpr std::size_t kSubstitutionReserve = 16;
+  Lexer lexer(source, ast_.arena(), budget_);
+  Parser sub(lexer.scan_all(nullptr, kSubstitutionReserve), ast_, budget_);
   Node* expression = sub.parse_expression();
   if (!sub.at_end()) {
     fail("trailing tokens in template substitution");
@@ -1113,7 +1084,7 @@ Node* Parser::parse_array_literal() {
 
 Node* Parser::parse_property_key(bool* computed) {
   *computed = false;
-  const Token& token = current();
+  const TokenRecord& token = current();
   if (check_punct("[")) {
     *computed = true;
     advance();
@@ -1122,14 +1093,14 @@ Node* Parser::parse_property_key(bool* computed) {
     return key;
   }
   if (token.type == TokenType::kStringLiteral) {
-    Node* key = ast_.make_string(advance().value);
+    Node* key = ast_.make_string(value(advance()));
     key->line = token.line;
     return key;
   }
   if (token.type == TokenType::kNumericLiteral) {
-    Node* key = ast_.make_number(token.number);
+    Node* key = ast_.make_number(tokens_.payload(token).number);
     key->line = token.line;
-    key->raw = token.raw;
+    key->raw = tokens_.raw(token);
     advance();
     return key;
   }
@@ -1137,7 +1108,7 @@ Node* Parser::parse_property_key(bool* computed) {
       token.type == TokenType::kKeyword ||
       token.type == TokenType::kBooleanLiteral ||
       token.type == TokenType::kNullLiteral) {
-    Node* key = ast_.make_identifier(advance().value);
+    Node* key = ast_.make_identifier(value(advance()));
     key->line = token.line;
     return key;
   }
@@ -1153,7 +1124,7 @@ Node* Parser::parse_object_property() {
   if ((check_identifier("get") || check_identifier("set")) &&
       !check_punct(":", 1) && !check_punct("(", 1) && !check_punct(",", 1) &&
       !check_punct("}", 1) && !check_punct("=", 1)) {
-    property->str_value = advance().value;
+    property->str_value = value(advance());
     bool computed = false;
     Node* key = parse_property_key(&computed);
     property->flag_a = computed;
@@ -1232,24 +1203,24 @@ Node* Parser::parse_object_literal() {
 }
 
 Node* Parser::parse_primary() {
-  const Token& token = current();
+  const TokenRecord& token = current();
   switch (token.type) {
     case TokenType::kNumericLiteral: {
-      Node* node = ast_.make_number(token.number);
+      Node* node = ast_.make_number(tokens_.payload(token).number);
       node->line = token.line;
-      node->raw = token.raw;
+      node->raw = tokens_.raw(token);
       advance();
       return node;
     }
     case TokenType::kStringLiteral: {
-      Node* node = ast_.make_string(token.value);
+      Node* node = ast_.make_string(value(token));
       node->line = token.line;
-      node->raw = token.raw;
+      node->raw = tokens_.raw(token);
       advance();
       return node;
     }
     case TokenType::kBooleanLiteral: {
-      Node* node = ast_.make_bool(token.value == "true");
+      Node* node = ast_.make_bool(token.id == token_id("true"));
       node->line = token.line;
       advance();
       return node;
@@ -1261,7 +1232,8 @@ Node* Parser::parse_primary() {
       return node;
     }
     case TokenType::kRegularExpression: {
-      Node* node = ast_.make_regex(token.value, token.regex_flags);
+      const TokenPayload& payload = tokens_.payload(token);
+      Node* node = ast_.make_regex(payload.value, payload.regex_flags);
       node->line = token.line;
       advance();
       return node;
@@ -1270,45 +1242,51 @@ Node* Parser::parse_primary() {
       return parse_template_literal(advance());
     }
     case TokenType::kIdentifier: {
-      Node* node = ast_.make_identifier(advance().value);
+      Node* node = ast_.make_identifier(value(advance()));
       node->line = token.line;
       return node;
     }
     case TokenType::kKeyword: {
-      if (token.value == "this") {
-        Node* node = ast_.make(NodeKind::kThisExpression);
-        node->line = token.line;
-        advance();
-        return node;
+      switch (token.id) {
+        case token_id("this"): {
+          Node* node = ast_.make(NodeKind::kThisExpression);
+          node->line = token.line;
+          advance();
+          return node;
+        }
+        case token_id("super"): {
+          Node* node = ast_.make(NodeKind::kSuper);
+          node->line = token.line;
+          advance();
+          return node;
+        }
+        case token_id("function"):
+          advance();
+          return parse_function(/*is_declaration=*/false, /*is_async=*/false);
+        case token_id("class"):
+          return parse_class(/*is_declaration=*/false);
+        case token_id("new"):
+          return parse_new();
+        default:
+          fail("unexpected keyword '" + std::string(value(token)) +
+               "' in expression");
       }
-      if (token.value == "super") {
-        Node* node = ast_.make(NodeKind::kSuper);
-        node->line = token.line;
-        advance();
-        return node;
-      }
-      if (token.value == "function") {
-        advance();
-        return parse_function(/*is_declaration=*/false, /*is_async=*/false);
-      }
-      if (token.value == "class") {
-        return parse_class(/*is_declaration=*/false);
-      }
-      if (token.value == "new") {
-        return parse_new();
-      }
-      fail("unexpected keyword '" + std::string(token.value) + "' in expression");
     }
     case TokenType::kPunctuator: {
-      if (token.value == "(") {
-        advance();
-        Node* expression = parse_expression();
-        expect_punct(")");
-        return expression;
+      switch (token.id) {
+        case token_id("("): {
+          advance();
+          Node* expression = parse_expression();
+          expect_punct(")");
+          return expression;
+        }
+        case token_id("["):
+          return parse_array_literal();
+        case token_id("{"):
+          return parse_object_literal();
+        default:
+          fail("unexpected token '" + std::string(value(token)) + "'");
       }
-      if (token.value == "[") return parse_array_literal();
-      if (token.value == "{") return parse_object_literal();
-      fail("unexpected token '" + std::string(token.value) + "'");
     }
     default:
       fail("unexpected token");

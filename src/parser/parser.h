@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,31 +19,12 @@
 
 namespace jst {
 
-// Parse result: the arena plus lexical statistics needed by the feature
+// Parse result: the AST plus lexical statistics needed by the feature
 // extractor (comment volume is erased from the AST but matters for
-// minification detection).
-// Aggregates over the token stream, accumulated during lexing while the
-// tokens are cache-hot. The hand-picked feature block consumes these
-// four numbers instead of re-walking the (cold, string-heavy) token
-// vector at feature time.
-struct TokenStats {
-  std::size_t count = 0;        // tokens in the stream (no EOF)
-  std::size_t punctuators = 0;
-  // Max (column + raw length) over tokens — a max-line-length proxy.
-  std::size_t max_line_length = 0;
-  // Sum of raw token lengths, accumulated in stream order as a double —
-  // the exact order/type the feature assembly historically used, so the
-  // derived features are bit-identical.
-  double raw_bytes = 0.0;
-};
-
+// minification detection). The token stream itself is not kept: only the
+// parser reads it, and TokenStats summarizes it for the features.
 struct ParseResult {
   Ast ast;
-  // Full token stream (no EOF), stored in the same arena as the AST. The
-  // span (and every token payload view) shares the arena's lifetime: for
-  // an owned-arena parse it lives as long as `ast`; for a pooled-arena
-  // parse it is valid until the pool's next reset.
-  std::span<const Token> tokens;
   TokenStats token_stats;
   std::size_t comment_count = 0;
   std::size_t comment_bytes = 0;
@@ -60,7 +40,9 @@ struct ParseResult {
 // When `arena` is non-null the whole front end runs in it — it is reset()
 // first (per-script pooling contract: at most one live ParseResult per
 // pooled arena), the source is copied in so every token/node view has
-// arena lifetime, and the Ast borrows it instead of owning one. With a
+// arena lifetime, and the Ast borrows it instead of owning one. The
+// scanner writes the script's token records into the same arena, in one
+// array sized from the source length (DESIGN.md §12). With a
 // null arena the Ast owns a private arena and the result is fully
 // self-contained. `atoms`, when non-null, is the pooled identifier atom
 // table the parser interns into (cleared here, in lockstep with the
@@ -75,26 +57,40 @@ bool parses(std::string_view source);
 
 class Parser {
  public:
-  // `tokens` must not contain the EOF token and must stay alive for the
-  // parse (parse_program keeps it in the arena). `budget`, when non-null,
-  // has its AST-depth ceiling checked on every nesting step.
-  Parser(std::span<const Token> tokens, Ast& ast, Budget* budget = nullptr);
+  // `tokens` must stay alive for the parse (parse_program keeps it in the
+  // arena). `budget`, when non-null, has its AST-depth ceiling checked on
+  // every nesting step.
+  Parser(const TokenStream& tokens, Ast& ast, Budget* budget = nullptr);
 
   Node* parse_program_body();
 
  private:
   // --- token stream ---
-  const Token& peek(std::size_t ahead = 0) const;
-  const Token& current() const { return peek(0); }
-  bool at_end() const { return index_ >= tokens_.size(); }
-  const Token& advance();
-  bool check_punct(std::string_view text, std::size_t ahead = 0) const;
-  bool check_keyword(std::string_view text, std::size_t ahead = 0) const;
-  bool check_identifier(std::string_view text, std::size_t ahead = 0) const;
-  bool match_punct(std::string_view text);
-  bool match_keyword(std::string_view text);
-  void expect_punct(std::string_view text);
-  void expect_keyword(std::string_view text);
+  // Token tests compare compile-time ids (lexer/token.h): check_punct("(")
+  // is one byte compare against the record's id.
+  const TokenRecord& peek(std::size_t ahead = 0) const {
+    const std::size_t i = index_ + ahead;
+    return i < tokens_.count ? tokens_.records[i] : eof_;
+  }
+  const TokenRecord& current() const { return peek(0); }
+  bool at_end() const { return index_ >= tokens_.count; }
+  const TokenRecord& advance();
+  std::string_view value(const TokenRecord& token) const {
+    return tokens_.value(token);
+  }
+  bool check_punct(PunctId punct, std::size_t ahead = 0) const {
+    return peek(ahead).id == punct.id;
+  }
+  bool check_keyword(KeywordId keyword, std::size_t ahead = 0) const {
+    return peek(ahead).id == keyword.id;
+  }
+  bool check_identifier(ContextualId word, std::size_t ahead = 0) const {
+    return peek(ahead).id == word.id;
+  }
+  bool match_punct(PunctId punct);
+  bool match_keyword(KeywordId keyword);
+  void expect_punct(PunctId punct);
+  void expect_keyword(KeywordId keyword);
   [[noreturn]] void fail(const std::string& message) const;
   void consume_semicolon();  // with automatic semicolon insertion
 
@@ -133,7 +129,7 @@ class Parser {
   Node* parse_array_literal();
   Node* parse_object_literal();
   Node* parse_object_property();
-  Node* parse_template_literal(const Token& token);
+  Node* parse_template_literal(const TokenRecord& token);
   Node* parse_arrow_tail(std::vector<Node*> params, bool is_async);
   // (params travel through a transient std::vector; they are copied into
   // the arena-backed kid list when attached to the function node.)
@@ -148,12 +144,13 @@ class Parser {
   // Reparses a sub-source (template substitution) into this arena.
   Node* parse_subexpression(std::string_view source);
 
-  std::span<const Token> tokens_;
+  TokenStream tokens_;
   std::size_t index_ = 0;
   Ast& ast_;
   Budget* budget_ = nullptr;
   int function_depth_ = 0;
-  Token eof_token_;
+  // Returned past the end: no id, the last token's line, column 0.
+  TokenRecord eof_;
 
   // Recursion guard: adversarial inputs (thousands of nested parentheses)
   // must yield a ParseError, never a stack overflow.

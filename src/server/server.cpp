@@ -168,15 +168,18 @@ void Server::start() {
   // `workers_` real worker threads: the pool counts its caller as a lane,
   // and the reader threads that submit never analyze inline.
   pool_ = std::make_unique<support::ThreadPool>(workers_ + 1);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  // The accept thread gets the listening fd by value: listen_fd_ itself is
+  // only touched by the constructor and shutdown(), never concurrently.
+  const int listen_fd = listen_fd_;
+  accept_thread_ = std::thread([this, listen_fd] { accept_loop(listen_fd); });
 }
 
-void Server::accept_loop() {
+void Server::accept_loop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listening socket closed (shutdown) or hard error
+      return;  // listening socket shut down (shutdown()) or hard error
     }
     set_send_timeout(fd, config_.write_timeout_ms);
     server_metrics().connections.add(1);
@@ -726,14 +729,16 @@ void Server::shutdown() {
   if (stopped_.exchange(true)) return;
   draining_.store(true, std::memory_order_relaxed);
 
-  // Stop accepting: closing the listening socket fails the blocking
-  // accept() and ends the accept loop.
+  // Stop accepting: shutting the listening socket down fails the blocking
+  // accept() and ends the accept loop. The fd is closed only after that
+  // thread has exited, so accept() can never run on a closed — or reused —
+  // descriptor number.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // Drain: every admitted request gets its response before any
   // connection is torn down. Requests read after this point are answered

@@ -182,7 +182,8 @@ class Server {
  private:
   struct Connection;
 
-  void accept_loop();
+  // Accepts connections on `listen_fd` until shutdown() shuts it down.
+  void accept_loop(int listen_fd);
   void serve_connection(Connection& connection);
   void handle_line(Connection& connection, const std::string& line);
   void handle_request(Connection& connection, analysis::AnalyzeRequest request);
@@ -212,6 +213,8 @@ class Server {
   ServerConfig config_;
   std::size_t workers_ = 1;
 
+  // Owned by the constructor and shutdown(); the accept thread works on
+  // the copy start() handed it.
   int listen_fd_ = -1;
   std::thread accept_thread_;
   std::atomic<bool> started_{false};

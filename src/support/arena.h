@@ -92,8 +92,10 @@ class Arena {
 // Append-only growable array living entirely in an Arena: the bump-alloc
 // analogue of a small std::vector. Growth allocates a doubled block and
 // copies; the abandoned block is reclaimed at the next reset() (bounded
-// 2x transient waste). Used by the lexer to cook escaped payloads and to
-// build template quasi/expression spans without touching the heap.
+// 2x transient waste). Used by the lexer for its rare-token payload side
+// table, to cook escaped payloads and to build template quasi/expression
+// spans without touching the heap. Per-token arrays do not grow this way:
+// the token record array is sized once from the source length.
 template <typename T>
 class ArenaVec {
  public:
@@ -110,6 +112,7 @@ class ArenaVec {
     size_ += count;
   }
 
+  T& back() { return data_[size_ - 1]; }
   const T* data() const { return data_; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

@@ -125,7 +125,6 @@ TEST(FrontendArena, PooledParseEqualsOwnedParse) {
     const ParseResult owned = parse_program(source);
     const ParseResult pooled = parse_program(source, nullptr, &pool);
     EXPECT_EQ(ast_to_json(owned.ast.root()), ast_to_json(pooled.ast.root()));
-    EXPECT_EQ(owned.tokens.size(), pooled.tokens.size());
     EXPECT_EQ(owned.token_stats.count, pooled.token_stats.count);
     EXPECT_EQ(owned.token_stats.raw_bytes, pooled.token_stats.raw_bytes);
     EXPECT_EQ(owned.comment_count, pooled.comment_count);
@@ -188,6 +187,76 @@ TEST(FrontendArena, CloneIntoFreshArenaDeepCopiesPayloads) {
   (void)parse_program("var unrelated = 123456789; function g() {}", nullptr,
                       &pool);
   EXPECT_EQ(ast_to_json(fresh.root()), reference);
+}
+
+// The compact token stream (DESIGN.md §12): a JSFuck flood is one byte
+// per token, so the arena pays a 16-byte record per source byte plus the
+// AST — not a doubling array of 128-byte Tokens with every abandoned copy
+// left behind (~474 B per source byte before the records).
+TEST(FrontendArena, JsFuckFloodPeakBytesPerSourceByte) {
+  std::string program;
+  for (int i = 0; i < 12; ++i) {
+    program += "var item" + std::to_string(i) + " = compute(" +
+               std::to_string(i) + ", 'label');\n";
+  }
+  transform::NoAlnumOptions options;
+  options.max_source_bytes = program.size();
+  const std::string flood = transform::no_alnum_transform(program, options);
+  ASSERT_GE(flood.size(), 250u * 1024u);
+
+  support::Arena pool;
+  support::AtomTable atoms;
+  for (int round = 0; round < 2; ++round) {  // cold, then warm pooled arena
+    const ParseResult parsed = parse_program(flood, nullptr, &pool, &atoms);
+    EXPECT_EQ(parsed.token_stats.count, flood.size());
+  }
+  const double per_byte = static_cast<double>(pool.peak_bytes()) /
+                          static_cast<double>(flood.size());
+  EXPECT_LE(per_byte, 120.0) << "peak " << pool.peak_bytes() << " B for "
+                             << flood.size() << " source bytes";
+}
+
+// Nested templates re-scan their enclosing text at every level (each
+// substitution is lexed on its own), so a record reserve of the full
+// sub-source per level would grow the arena quadratically in the nesting
+// depth. Four times the depth must give about four times the arena peak
+// (the quadratic reserve gave about eleven).
+TEST(FrontendArena, NestedTemplateArenaGrowsLinearly) {
+  const auto nested = [](int depth) {
+    std::string source;
+    for (int i = 0; i < depth; ++i) source += "`${";
+    source += "x";
+    for (int i = 0; i < depth; ++i) source += "}`";
+    return source;
+  };
+  const auto peak = [](const std::string& source) {
+    support::Arena arena;
+    (void)parse_program(source, nullptr, &arena);
+    return static_cast<double>(arena.peak_bytes());
+  };
+  const double shallow = peak(nested(100));
+  const double deep = peak(nested(400));
+  EXPECT_LT(deep / shallow, 6.0) << shallow << " B at depth 100, " << deep
+                                 << " B at depth 400";
+}
+
+// One scratch per thread: single requests and batch lanes served on the
+// same thread parse into the same pooled arena (each script resets it
+// once), so a pool thread pins one arena, not one per entry point.
+TEST(FrontendArena, ThreadServingBothEntryPointsOwnsOneArena) {
+  const analysis::AnalyzerService service(shared_analyzer());
+  const std::vector<std::string> corpus = seed_corpus();
+  const support::Arena& arena = analysis::thread_script_scratch().arena;
+  const std::uint64_t epoch = arena.epoch();
+
+  (void)service.analyze(analysis::AnalyzeRequest::for_source(corpus[0]));
+  EXPECT_EQ(arena.epoch(), epoch + 1);
+
+  analysis::BatchOptions options;
+  options.threads = 1;  // a serial batch runs its lane on this thread
+  const std::vector<std::string> batch = {corpus[1], corpus[2]};
+  (void)service.analyze_batch(analysis::make_source_requests(batch), options);
+  EXPECT_EQ(arena.epoch(), epoch + 3);
 }
 
 // --- allocation-free steady state ------------------------------------------

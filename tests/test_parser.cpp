@@ -358,7 +358,7 @@ TEST(Parser, ParsesHelper) {
 
 TEST(Parser, TokensExposedInResult) {
   const ParseResult result = parse("var a = 1; // note\n");
-  EXPECT_EQ(result.tokens.size(), 5u);
+  EXPECT_EQ(result.token_stats.count, 5u);
   EXPECT_EQ(result.comment_count, 1u);
   EXPECT_EQ(result.source_lines, 2u);
 }

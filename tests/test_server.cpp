@@ -423,6 +423,31 @@ TEST(AdmissionControl, WindowedP95RecoversFromEarlySlowBurst) {
   EXPECT_FALSE(server::Server::should_shed(4, 2, windowed_p95, 250.0, 0));
 }
 
+// --- flight recorder under the sanitizers ----------------------------------
+
+// Empty rid/key views (default-constructed: null data()) outside any
+// request scope are recorded as absent fields. This suite carries the
+// `robustness` label, so the ubsan preset checks the copy is free of
+// null-pointer memcpy. (The global recorder: a local one's per-thread
+// rings are never freed, which LeakSanitizer would report.)
+TEST(FlightRecorderViews, EmptyRidAndKeyRecordAsAbsentFields) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+  recorder.clear();
+  recorder.record(obs::FlightEventKind::kAdmit, std::string_view(),
+                  std::string_view(), "empty-views", 1.0);
+  recorder.record(obs::FlightEventKind::kStage, "", "", "empty-views", 2.0);
+  const std::vector<std::string> lines = split_lines(recorder.dump_ndjson());
+  recorder.clear();
+  std::size_t recorded = 0;
+  for (const std::string& line : lines) {
+    if (json_string_field(line, "label") != "empty-views") continue;
+    ++recorded;
+    EXPECT_EQ(line.find("\"rid\""), std::string::npos) << line;
+    EXPECT_EQ(line.find("\"key\""), std::string::npos) << line;
+  }
+  EXPECT_EQ(recorded, 2u);
+}
+
 // --- socket integration ----------------------------------------------------
 
 class ServerFixture : public ::testing::Test {
@@ -860,6 +885,28 @@ TEST_F(ServerFixture, LifecycleReconstructsFromTraceAndFlightJoin) {
   }
 }
 
+// Start/shutdown cycles: shutdown() must stop the accept thread before it
+// closes the listening socket (no accept() on a closed or reused fd), and
+// every cycle releases its socket file. Every tenth cycle also proves the
+// daemon accepted before it was shut down.
+TEST(ServerLifecycle, RepeatedStartShutdownCycles) {
+  const analysis::AnalyzerService service(shared_analyzer());
+  server::ServerConfig config;
+  config.workers = 1;
+  config.socket_path = test_socket_path("cycles");
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    server::Server daemon(service, config);
+    daemon.start();
+    if (cycle % 10 == 0) {
+      server::Client client(daemon.socket_path());
+      EXPECT_TRUE(client.ping()) << "cycle " << cycle;
+    }
+    daemon.shutdown();
+    ASSERT_NE(::access(config.socket_path.c_str(), F_OK), 0)
+        << "socket file left behind in cycle " << cycle;
+  }
+}
+
 TEST_F(ServerFixture, DrainAnswersAdmittedRequests) {
   server::ServerConfig config;
   config.workers = 1;
@@ -874,8 +921,16 @@ TEST_F(ServerFixture, DrainAnswersAdmittedRequests) {
     EXPECT_TRUE(response.ok());
     answered = true;
   });
-  // Give the request time to be admitted, then drain mid-service.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Wait until the request is admitted, then drain mid-service. (Until
+  // the accept thread has taken the connection, a shutdown drops it with
+  // the listening socket and the caller's send fails.)
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (daemon_->stats().requests_admitted == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(daemon_->stats().requests_admitted, 1u);
   daemon_->shutdown();
   caller.join();
   EXPECT_TRUE(answered.load());
