@@ -1,7 +1,7 @@
 // Lexer block-scanner microbenchmark (DESIGN.md §16).
 //
-// Measures tokenize-only throughput (MB/s) per input family × scan
-// policy. The families stress different scanners: minified output is
+// Measures tokenize-only throughput (MB/s) per input family. The
+// families stress different scanners: minified output is
 // punctuator-dense with long physical lines (whitespace scanner mostly
 // idle), JSFuck floods are short-token storms (runs too short for the
 // wide scanners to amortize — the interesting regression case), string-
@@ -10,10 +10,8 @@
 // comments, and indentation (find_id_end / find_ws_end / find_line_end).
 //
 // Emits BENCH_lexer.json via bench_common so the per-family trajectory
-// is recorded across PRs. Each row pins one scan policy (the `effective`
-// field records what actually ran — kSimd clamps to kSwar on targets
-// without a compiled 16-byte path); production runs match the widest
-// compiled-in row.
+// is recorded across revisions; one row per family, scanned by the SWAR
+// block scanners (the lexer's only scan path).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -148,48 +146,28 @@ int main() {
   families.push_back(jsfuck_family(count));
   families.push_back(string_heavy_family(count));
 
-  struct PolicyRow {
-    const char* name;
-    lex::ScanPolicy policy;
-  };
-  const PolicyRow policies[] = {
-      {"scalar", lex::ScanPolicy::kScalar},
-      {"swar", lex::ScanPolicy::kSwar},
-      {"simd", lex::ScanPolicy::kSimd},
-  };
-
   std::printf("lexer throughput (tokenize only, best of 5, serial)\n");
-  std::printf("%-14s %8s %10s %10s %10s\n", "family", "bytes", "policy",
-              "wall_ms", "MB/s");
+  std::printf("%-14s %8s %10s %10s\n", "family", "bytes", "wall_ms", "MB/s");
 
   std::vector<bench::BenchRecord> records;
   for (const Family& family : families) {
-    for (const PolicyRow& row : policies) {
-      lex::ScopedScanPolicy scoped(row.policy);
-      // Report the policy the process actually ran (kSimd clamps to
-      // kSwar on targets without a compiled 16-byte path).
-      const std::string_view effective =
-          lex::scan_policy_name(lex::set_scan_policy(row.policy));
-      const double ms = measure_ms(family);
-      const double mbps =
-          static_cast<double>(family.bytes) / 1048576.0 / (ms / 1000.0);
-      std::printf("%-14s %8zu %10.*s %10.3f %10.1f\n", family.name.c_str(),
-                  family.bytes, static_cast<int>(effective.size()),
-                  effective.data(), ms, mbps);
+    const double ms = measure_ms(family);
+    const double mbps =
+        static_cast<double>(family.bytes) / 1048576.0 / (ms / 1000.0);
+    std::printf("%-14s %8zu %10.3f %10.1f\n", family.name.c_str(),
+                family.bytes, ms, mbps);
 
-      bench::BenchRecord record;
-      record.config = "family=" + family.name +
-                      " policy=" + std::string(row.name) +
-                      " effective=" + std::string(effective);
-      record.threads = 1;
-      record.scripts = family.sources.size();
-      record.wall_ms = ms;
-      record.scripts_per_second =
-          static_cast<double>(family.sources.size()) / (ms / 1000.0);
-      record.bytes = family.bytes;
-      record.mb_per_second = mbps;
-      records.push_back(std::move(record));
-    }
+    bench::BenchRecord record;
+    record.config = "family=" + family.name + " scan=" +
+                    std::string(lex::scan_policy_name(lex::scan_policy()));
+    record.threads = 1;
+    record.scripts = family.sources.size();
+    record.wall_ms = ms;
+    record.scripts_per_second =
+        static_cast<double>(family.sources.size()) / (ms / 1000.0);
+    record.bytes = family.bytes;
+    record.mb_per_second = mbps;
+    records.push_back(std::move(record));
   }
 
   bench::write_bench_json("lexer", records);

@@ -141,7 +141,8 @@ double log1p_scaled(double v) { return std::log1p(std::max(0.0, v)); }
 
 }  // namespace
 
-void gather_handpicked(const Node& node, ExtractCounters& c) {
+void gather_handpicked(const Node& node, support::AtomTable& atoms,
+                       ExtractCounters& c) {
   ++c.nodes;
   switch (node.kind) {
     case NodeKind::kIdentifier: {
@@ -151,7 +152,11 @@ void gather_handpicked(const Node& node, ExtractCounters& c) {
       if (name.size() == 1) ++c.identifiers_len1;
       if (name.size() == 2) ++c.identifiers_len2;
       if (is_hexlike_identifier(name)) ++c.identifiers_hexlike;
-      c.unique_identifiers.insert(name);
+      // Parser-made identifiers carry their atom; transformer-created
+      // stragglers are interned into the same id space on first sight.
+      c.see_identifier_atom(node.atom != support::AtomTable::kNoAtom
+                                ? node.atom
+                                : atoms.intern(name));
       break;
     }
     case NodeKind::kLiteral:
@@ -470,7 +475,7 @@ void assemble_handpicked(const ScriptAnalysis& analysis,
   push(static_cast<double>(c.identifiers) / nodes);
   push(static_cast<double>(c.members) / nodes);
   push(safe_div(static_cast<double>(c.members),
-                static_cast<double>(c.unique_identifiers.size())));
+                static_cast<double>(c.unique_identifiers)));
   push(static_cast<double>(c.conditionals) / nodes);
   push(static_cast<double>(c.sequences) / nodes);
   push(static_cast<double>(c.empty_statements) / nodes);
@@ -486,7 +491,7 @@ void assemble_handpicked(const ScriptAnalysis& analysis,
                 static_cast<double>(c.identifiers)));
   push(safe_div(static_cast<double>(c.identifiers_hexlike),
                 static_cast<double>(c.identifiers)));
-  push(safe_div(static_cast<double>(c.unique_identifiers.size()),
+  push(safe_div(static_cast<double>(c.unique_identifiers),
                 static_cast<double>(c.identifiers)));
   // member style
   push(safe_div(static_cast<double>(c.member_dot),

@@ -18,6 +18,7 @@
 
 #include "features/analysis_pipeline.h"
 #include "features/scratch.h"
+#include "support/atom.h"
 
 namespace jst::features {
 
@@ -27,8 +28,9 @@ const std::vector<std::string>& handpicked_feature_names();
 
 // Per-node counter update, driven by the single-pass extractor
 // (feature_extractor.cpp) from its own walk. Must be called once per node
-// in pre-order.
-void gather_handpicked(const Node& node, ExtractCounters& counters);
+// in pre-order; `atoms` is the table of the Ast the node belongs to.
+void gather_handpicked(const Node& node, support::AtomTable& atoms,
+                       ExtractCounters& counters);
 
 // Assembles the hand-picked feature block from gathered counters plus the
 // tree depth/breadth, appending handpicked_feature_names().size() values

@@ -15,9 +15,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,90 +26,9 @@
 
 namespace jst::features {
 
-// Open-addressed set of identifier names (views into the AST), replacing
-// std::unordered_set on the extraction fast path: libstdc++'s node-based
-// table mallocs once per unique identifier even after clear(), which made
-// identifier dedup the last allocating step of gather at batch scale.
-// Linear probing over a power-of-two slot array, FNV-1a hashing (same
-// parameters as the n-gram hasher), byte-exact comparison on hash hits —
-// size() matches the unordered_set it replaced exactly. clear() is O(1):
-// slots carry an epoch and stale epochs read as empty.
-class IdentifierSet {
- public:
-  std::size_t size() const { return size_; }
-
-  void clear() {
-    ++epoch_;
-    if (epoch_ == 0) {
-      // Epoch wrapped: lazily-invalidated slots would read as live again.
-      std::fill(slots_.begin(), slots_.end(), Slot{});
-      epoch_ = 1;
-    }
-    size_ = 0;
-  }
-
-  void insert(std::string_view name) {
-    if (size_ * 10 >= slots_.size() * 7) grow();
-    std::uint64_t hash = kFnvOffsetBasis;
-    for (const char ch : name) {
-      hash ^= static_cast<unsigned char>(ch);
-      hash *= kFnvPrime;
-    }
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t index = static_cast<std::size_t>(hash) & mask;
-    while (true) {
-      Slot& slot = slots_[index];
-      if (slot.epoch != epoch_) {  // empty: never used, or stale epoch
-        slot.data = name.data();
-        slot.hash = hash;
-        slot.size = static_cast<std::uint32_t>(name.size());
-        slot.epoch = epoch_;
-        ++size_;
-        return;
-      }
-      if (slot.hash == hash && slot.size == name.size() &&
-          std::memcmp(slot.data, name.data(), name.size()) == 0) {
-        return;  // already present
-      }
-      index = (index + 1) & mask;
-    }
-  }
-
-  std::size_t capacity_bytes() const {
-    return slots_.capacity() * sizeof(Slot);
-  }
-
- private:
-  struct Slot {
-    const char* data = nullptr;
-    std::uint64_t hash = 0;
-    std::uint32_t size = 0;
-    std::uint32_t epoch = 0;  // live iff equal to the set's current epoch
-  };
-  static constexpr std::size_t kInitialSlots = 256;  // power of two
-
-  // Doubles the table (first call: allocates it — the default-constructed
-  // set owns no memory, so value-resetting an ExtractCounters stays free).
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? kInitialSlots : old.size() * 2, Slot{});
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& slot : old) {
-      if (slot.epoch != epoch_) continue;
-      std::size_t index = static_cast<std::size_t>(slot.hash) & mask;
-      while (slots_[index].epoch == epoch_) index = (index + 1) & mask;
-      slots_[index] = slot;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-  std::uint32_t epoch_ = 1;  // default-constructed slots (epoch 0) are empty
-};
-
 // Per-script counters the hand-picked feature block is assembled from.
 // One instance per scratch; reset() clears values but keeps container
-// capacity (and hash-table bucket arrays) for the next script.
+// capacity for the next script.
 struct ExtractCounters {
   // node-kind counts
   std::size_t nodes = 0;
@@ -169,10 +86,13 @@ struct ExtractCounters {
   std::size_t identifiers_len1 = 0;
   std::size_t identifiers_len2 = 0;
   std::size_t identifiers_hexlike = 0;  // _0x.... (obfuscator.io style)
-  // Views into the AST's identifier names — no per-occurrence string
-  // copies. Valid only while the analyzed script's AST is alive, which
-  // reset() guarantees by clearing the set before the next script.
-  IdentifierSet unique_identifiers;
+  // Distinct identifier spellings, deduplicated by atom id: the parser
+  // interns every spelling into a dense per-script atom, so atom_stamps[a]
+  // == atom_epoch marks atom `a` as seen in this script. reset() bumps the
+  // epoch instead of clearing the array.
+  std::size_t unique_identifiers = 0;
+  std::vector<std::uint32_t> atom_stamps;
+  std::uint32_t atom_epoch = 1;  // zero-filled stamps read as unseen
 
   std::vector<double> string_lengths;
   std::string all_string_bytes;
@@ -184,20 +104,37 @@ struct ExtractCounters {
   std::array<bool, 9> builtin_seen{};
   std::size_t eval_calls = 0;
 
+  // Counts `atom` toward unique_identifiers the first time this script
+  // shows it.
+  void see_identifier_atom(std::uint32_t atom) {
+    if (atom >= atom_stamps.size()) atom_stamps.resize(atom + 1, 0);
+    if (atom_stamps[atom] == atom_epoch) return;
+    atom_stamps[atom] = atom_epoch;
+    ++unique_identifiers;
+  }
+
   // Zeroes every scalar and empties every container while preserving
-  // container capacity. Implemented by moving the containers aside,
+  // container capacity, and sizes the atom stamps for a script with
+  // `atom_count` atoms. Implemented by moving the containers aside,
   // value-resetting the whole struct (immune to a newly added scalar
   // being missed), then moving the containers back and clear()ing them.
-  void reset() {
+  void reset(std::size_t atom_count) {
     auto keep_identifier_lengths = std::move(identifier_lengths);
-    auto keep_unique_identifiers = std::move(unique_identifiers);
+    auto keep_atom_stamps = std::move(atom_stamps);
+    const std::uint32_t next_epoch = atom_epoch + 1;
     auto keep_string_lengths = std::move(string_lengths);
     auto keep_all_string_bytes = std::move(all_string_bytes);
     *this = ExtractCounters{};
     identifier_lengths = std::move(keep_identifier_lengths);
     identifier_lengths.clear();
-    unique_identifiers = std::move(keep_unique_identifiers);
-    unique_identifiers.clear();
+    atom_stamps = std::move(keep_atom_stamps);
+    atom_epoch = next_epoch;
+    if (atom_epoch == 0) {
+      // Epoch wrapped: stale stamps would read as seen again.
+      std::fill(atom_stamps.begin(), atom_stamps.end(), 0u);
+      atom_epoch = 1;
+    }
+    if (atom_stamps.size() < atom_count) atom_stamps.resize(atom_count, 0);
     string_lengths = std::move(keep_string_lengths);
     string_lengths.clear();
     all_string_bytes = std::move(keep_all_string_bytes);
@@ -208,7 +145,7 @@ struct ExtractCounters {
     return identifier_lengths.capacity() * sizeof(double) +
            string_lengths.capacity() * sizeof(double) +
            all_string_bytes.capacity() +
-           unique_identifiers.capacity_bytes();
+           atom_stamps.capacity() * sizeof(std::uint32_t);
   }
 };
 

@@ -13,11 +13,11 @@
 // on a 256-entry character-class table (lexer/char_class.h) instead of a
 // predicate ladder, and the long homogeneous runs obfuscated code is
 // full of — identifier floods, escape-free string/template payloads,
-// whitespace walls, comment bodies — are skipped by SWAR/SIMD block
-// scanners (lexer/scan.h) that only locate the next interesting byte.
-// All classification, line/column bookkeeping, budget charging, and
-// error reporting stay in the scalar code, so the token stream is
-// bit-identical under every scan policy.
+// whitespace walls, comment bodies — are skipped by SWAR block scanners
+// (lexer/scan.h) that only locate the next interesting byte. All
+// classification, line/column bookkeeping, budget charging, and error
+// reporting stay in the scalar code, so the token stream is the one a
+// byte-at-a-time scan produces.
 //
 // The scanner writes 16-byte TokenRecords (lexer/token.h, DESIGN.md §12)
 // into one array sized once per script (a token is at least one byte, so

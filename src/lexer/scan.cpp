@@ -1,26 +1,11 @@
-// Scalar / SWAR / SIMD implementations of the block scanners.
-//
-// Layout: one scalar reference implementation per scanner (the oracle),
-// one SWAR implementation processing 8 bytes per step, and one 16-byte
-// SIMD implementation compiled only where the ISA exists (SSE2 on
-// x86-64, NEON on AArch64). The public find_* entry points dispatch
-// through the process-global policy: one relaxed atomic load and a
-// perfectly-predicted switch per run, amortized over the whole run.
+// SWAR block scanners: each find_* processes 8 bytes per 64-bit word
+// (support/swar.h) and finishes the last size % 8 bytes with a
+// byte-at-a-time loop over the same stop set. test_lexer_diff checks
+// every scanner against a byte-at-a-time reference.
 #include "lexer/scan.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #include "lexer/char_class.h"
-#include "support/cpu.h"
 #include "support/swar.h"
-
-#if JST_HAVE_SSE2
-#include <emmintrin.h>
-#elif JST_HAVE_NEON
-#include <arm_neon.h>
-#endif
 
 namespace jst::lex {
 namespace {
@@ -36,53 +21,9 @@ using support::swar::Word;
 
 inline unsigned char uc(char c) { return static_cast<unsigned char>(c); }
 
-// --- scalar reference implementations ---------------------------------
-
-std::size_t id_end_scalar(const char* data, std::size_t size,
-                          std::size_t from) {
-  while (from < size && is_id_part_byte(uc(data[from]))) ++from;
-  return from;
+inline std::size_t stop_index(std::size_t from, Word stop) {
+  return from + static_cast<std::size_t>(first_marked(stop));
 }
-
-std::size_t ws_end_scalar(const char* data, std::size_t size,
-                          std::size_t from) {
-  while (from < size && has_flag(uc(data[from]), kFlagWhitespace)) ++from;
-  return from;
-}
-
-std::size_t line_end_scalar(const char* data, std::size_t size,
-                            std::size_t from) {
-  while (from < size && !is_line_terminator_byte(uc(data[from]))) ++from;
-  return from;
-}
-
-std::size_t string_end_scalar(const char* data, std::size_t size,
-                              std::size_t from, char quote) {
-  while (from < size) {
-    const char c = data[from];
-    if (c == quote || c == '\\' || c == '\n' || c == '\r') break;
-    ++from;
-  }
-  return from;
-}
-
-std::size_t template_end_scalar(const char* data, std::size_t size,
-                                std::size_t from) {
-  while (from < size) {
-    const char c = data[from];
-    if (c == '`' || c == '\\' || c == '$' || c == '\n') break;
-    ++from;
-  }
-  return from;
-}
-
-std::size_t block_comment_end_scalar(const char* data, std::size_t size,
-                                     std::size_t from) {
-  while (from < size && data[from] != '*' && data[from] != '\n') ++from;
-  return from;
-}
-
-// --- SWAR: 8 bytes per 64-bit word -------------------------------------
 
 // High-bit mask of identifier-continuation bytes. Bytes >= 0x80 continue
 // unconditionally, so the 7-bit range/equality terms may alias into the
@@ -95,407 +36,83 @@ inline Word id_continue_mask(Word x) {
          eq_bytes(x7, '$');
 }
 
-std::size_t id_end_swar(const char* data, std::size_t size, std::size_t from) {
-  while (from + 8 <= size) {
+}  // namespace
+
+ScanPolicy scan_policy() { return ScanPolicy::kSwar; }
+
+std::string_view scan_policy_name(ScanPolicy) { return "swar"; }
+
+std::size_t find_id_end(const char* data, std::size_t size, std::size_t from) {
+  for (; from + 8 <= size; from += 8) {
     const Word stop = ~id_continue_mask(load(data + from)) & kHigh;
-    if (stop != 0) return from + static_cast<std::size_t>(first_marked(stop));
-    from += 8;
+    if (stop != 0) return stop_index(from, stop);
   }
-  return id_end_scalar(data, size, from);
+  while (from < size && is_id_part_byte(uc(data[from]))) ++from;
+  return from;
 }
 
-std::size_t ws_end_swar(const char* data, std::size_t size, std::size_t from) {
-  while (from + 8 <= size) {
+std::size_t find_ws_end(const char* data, std::size_t size, std::size_t from) {
+  for (; from + 8 <= size; from += 8) {
     const Word x = load(data + from);
     const Word ws = eq_bytes(x, ' ') | eq_bytes(x, '\t') | eq_bytes(x, '\v') |
                     eq_bytes(x, '\f') | eq_bytes(x, '\r');
     const Word stop = ~ws & kHigh;
-    if (stop != 0) return from + static_cast<std::size_t>(first_marked(stop));
-    from += 8;
+    if (stop != 0) return stop_index(from, stop);
   }
-  return ws_end_scalar(data, size, from);
-}
-
-std::size_t line_end_swar(const char* data, std::size_t size,
-                          std::size_t from) {
-  while (from + 8 <= size) {
-    const Word x = load(data + from);
-    const Word stop = eq_bytes(x, '\n') | eq_bytes(x, '\r');
-    if (stop != 0) return from + static_cast<std::size_t>(first_marked(stop));
-    from += 8;
-  }
-  return line_end_scalar(data, size, from);
-}
-
-std::size_t string_end_swar(const char* data, std::size_t size,
-                            std::size_t from, char quote) {
-  const Word q = broadcast(uc(quote));
-  while (from + 8 <= size) {
-    const Word x = load(data + from);
-    const Word stop = support::swar::zero_bytes(x ^ q) | eq_bytes(x, '\\') |
-                      eq_bytes(x, '\n') | eq_bytes(x, '\r');
-    if (stop != 0) return from + static_cast<std::size_t>(first_marked(stop));
-    from += 8;
-  }
-  return string_end_scalar(data, size, from, quote);
-}
-
-std::size_t template_end_swar(const char* data, std::size_t size,
-                              std::size_t from) {
-  while (from + 8 <= size) {
-    const Word x = load(data + from);
-    const Word stop = eq_bytes(x, '`') | eq_bytes(x, '\\') |
-                      eq_bytes(x, '$') | eq_bytes(x, '\n');
-    if (stop != 0) return from + static_cast<std::size_t>(first_marked(stop));
-    from += 8;
-  }
-  return template_end_scalar(data, size, from);
-}
-
-std::size_t block_comment_end_swar(const char* data, std::size_t size,
-                                   std::size_t from) {
-  while (from + 8 <= size) {
-    const Word x = load(data + from);
-    const Word stop = eq_bytes(x, '*') | eq_bytes(x, '\n');
-    if (stop != 0) return from + static_cast<std::size_t>(first_marked(stop));
-    from += 8;
-  }
-  return block_comment_end_scalar(data, size, from);
-}
-
-// --- SIMD: 16 bytes per step -------------------------------------------
-
-#if JST_HAVE_SSE2
-
-inline __m128i load16(const char* p) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-}
-inline __m128i eq16(__m128i x, char c) {
-  return _mm_cmpeq_epi8(x, _mm_set1_epi8(c));
-}
-// Unsigned x >= c via max: max(x, c) == x.
-inline __m128i ge16(__m128i x, char c) {
-  return _mm_cmpeq_epi8(_mm_max_epu8(x, _mm_set1_epi8(c)), x);
-}
-// Unsigned in-range [lo, hi] via min/max equality.
-inline __m128i range16(__m128i x, char lo, char hi) {
-  const __m128i ge = _mm_cmpeq_epi8(_mm_max_epu8(x, _mm_set1_epi8(lo)), x);
-  const __m128i le = _mm_cmpeq_epi8(_mm_min_epu8(x, _mm_set1_epi8(hi)), x);
-  return _mm_and_si128(ge, le);
-}
-// 16-bit mask of stop lanes given a mask of CONTINUE lanes.
-inline unsigned stop_mask16(__m128i continue_lanes) {
-  return ~static_cast<unsigned>(_mm_movemask_epi8(continue_lanes)) & 0xffffu;
-}
-inline unsigned match_mask16(__m128i stop_lanes) {
-  return static_cast<unsigned>(_mm_movemask_epi8(stop_lanes));
-}
-inline std::size_t first_lane(unsigned mask16) {
-  return static_cast<std::size_t>(__builtin_ctz(mask16));
-}
-
-std::size_t id_end_simd(const char* data, std::size_t size, std::size_t from) {
-  while (from + 16 <= size) {
-    const __m128i x = load16(data + from);
-    __m128i cont = range16(x, '0', '9');
-    cont = _mm_or_si128(cont, range16(x, 'A', 'Z'));
-    cont = _mm_or_si128(cont, range16(x, 'a', 'z'));
-    cont = _mm_or_si128(cont, eq16(x, '_'));
-    cont = _mm_or_si128(cont, eq16(x, '$'));
-    cont = _mm_or_si128(cont, ge16(x, static_cast<char>(0x80)));
-    const unsigned stop = stop_mask16(cont);
-    if (stop != 0) return from + first_lane(stop);
-    from += 16;
-  }
-  return id_end_swar(data, size, from);
-}
-
-std::size_t ws_end_simd(const char* data, std::size_t size, std::size_t from) {
-  while (from + 16 <= size) {
-    const __m128i x = load16(data + from);
-    __m128i ws = eq16(x, ' ');
-    ws = _mm_or_si128(ws, eq16(x, '\t'));
-    ws = _mm_or_si128(ws, eq16(x, '\v'));
-    ws = _mm_or_si128(ws, eq16(x, '\f'));
-    ws = _mm_or_si128(ws, eq16(x, '\r'));
-    const unsigned stop = stop_mask16(ws);
-    if (stop != 0) return from + first_lane(stop);
-    from += 16;
-  }
-  return ws_end_swar(data, size, from);
-}
-
-std::size_t line_end_simd(const char* data, std::size_t size,
-                          std::size_t from) {
-  while (from + 16 <= size) {
-    const __m128i x = load16(data + from);
-    const unsigned stop =
-        match_mask16(_mm_or_si128(eq16(x, '\n'), eq16(x, '\r')));
-    if (stop != 0) return from + first_lane(stop);
-    from += 16;
-  }
-  return line_end_swar(data, size, from);
-}
-
-std::size_t string_end_simd(const char* data, std::size_t size,
-                            std::size_t from, char quote) {
-  const __m128i q = _mm_set1_epi8(quote);
-  while (from + 16 <= size) {
-    const __m128i x = load16(data + from);
-    __m128i stop = _mm_cmpeq_epi8(x, q);
-    stop = _mm_or_si128(stop, eq16(x, '\\'));
-    stop = _mm_or_si128(stop, eq16(x, '\n'));
-    stop = _mm_or_si128(stop, eq16(x, '\r'));
-    const unsigned mask = match_mask16(stop);
-    if (mask != 0) return from + first_lane(mask);
-    from += 16;
-  }
-  return string_end_swar(data, size, from, quote);
-}
-
-std::size_t template_end_simd(const char* data, std::size_t size,
-                              std::size_t from) {
-  while (from + 16 <= size) {
-    const __m128i x = load16(data + from);
-    __m128i stop = eq16(x, '`');
-    stop = _mm_or_si128(stop, eq16(x, '\\'));
-    stop = _mm_or_si128(stop, eq16(x, '$'));
-    stop = _mm_or_si128(stop, eq16(x, '\n'));
-    const unsigned mask = match_mask16(stop);
-    if (mask != 0) return from + first_lane(mask);
-    from += 16;
-  }
-  return template_end_swar(data, size, from);
-}
-
-std::size_t block_comment_end_simd(const char* data, std::size_t size,
-                                   std::size_t from) {
-  while (from + 16 <= size) {
-    const __m128i x = load16(data + from);
-    const unsigned mask =
-        match_mask16(_mm_or_si128(eq16(x, '*'), eq16(x, '\n')));
-    if (mask != 0) return from + first_lane(mask);
-    from += 16;
-  }
-  return block_comment_end_swar(data, size, from);
-}
-
-#elif JST_HAVE_NEON
-
-inline uint8x16_t load16(const char* p) {
-  return vld1q_u8(reinterpret_cast<const std::uint8_t*>(p));
-}
-inline uint8x16_t eq16(uint8x16_t x, char c) {
-  return vceqq_u8(x, vdupq_n_u8(static_cast<std::uint8_t>(c)));
-}
-inline uint8x16_t range16(uint8x16_t x, char lo, char hi) {
-  return vandq_u8(vcgeq_u8(x, vdupq_n_u8(static_cast<std::uint8_t>(lo))),
-                  vcleq_u8(x, vdupq_n_u8(static_cast<std::uint8_t>(hi))));
-}
-// Narrows a 0x00/0xff lane mask to a 64-bit word with 4 bits per lane
-// (the vshrn trick); first matching lane = ctz / 4.
-inline std::uint64_t lane_bits(uint8x16_t mask) {
-  const uint8x8_t narrowed =
-      vshrn_n_u16(vreinterpretq_u16_u8(mask), 4);
-  return vget_lane_u64(vreinterpret_u64_u8(narrowed), 0);
-}
-inline std::size_t first_lane(std::uint64_t bits) {
-  return static_cast<std::size_t>(__builtin_ctzll(bits)) >> 2;
-}
-
-std::size_t id_end_simd(const char* data, std::size_t size, std::size_t from) {
-  while (from + 16 <= size) {
-    const uint8x16_t x = load16(data + from);
-    uint8x16_t cont = range16(x, '0', '9');
-    cont = vorrq_u8(cont, range16(x, 'A', 'Z'));
-    cont = vorrq_u8(cont, range16(x, 'a', 'z'));
-    cont = vorrq_u8(cont, eq16(x, '_'));
-    cont = vorrq_u8(cont, eq16(x, '$'));
-    cont = vorrq_u8(cont, vcgeq_u8(x, vdupq_n_u8(0x80)));
-    const std::uint64_t stop = ~lane_bits(cont);
-    if (stop != 0) return from + first_lane(stop);
-    from += 16;
-  }
-  return id_end_swar(data, size, from);
-}
-
-std::size_t ws_end_simd(const char* data, std::size_t size, std::size_t from) {
-  while (from + 16 <= size) {
-    const uint8x16_t x = load16(data + from);
-    uint8x16_t ws = eq16(x, ' ');
-    ws = vorrq_u8(ws, eq16(x, '\t'));
-    ws = vorrq_u8(ws, eq16(x, '\v'));
-    ws = vorrq_u8(ws, eq16(x, '\f'));
-    ws = vorrq_u8(ws, eq16(x, '\r'));
-    const std::uint64_t stop = ~lane_bits(ws);
-    if (stop != 0) return from + first_lane(stop);
-    from += 16;
-  }
-  return ws_end_swar(data, size, from);
-}
-
-std::size_t line_end_simd(const char* data, std::size_t size,
-                          std::size_t from) {
-  while (from + 16 <= size) {
-    const uint8x16_t x = load16(data + from);
-    const std::uint64_t stop =
-        lane_bits(vorrq_u8(eq16(x, '\n'), eq16(x, '\r')));
-    if (stop != 0) return from + first_lane(stop);
-    from += 16;
-  }
-  return line_end_swar(data, size, from);
-}
-
-std::size_t string_end_simd(const char* data, std::size_t size,
-                            std::size_t from, char quote) {
-  while (from + 16 <= size) {
-    const uint8x16_t x = load16(data + from);
-    uint8x16_t stop = eq16(x, quote);
-    stop = vorrq_u8(stop, eq16(x, '\\'));
-    stop = vorrq_u8(stop, eq16(x, '\n'));
-    stop = vorrq_u8(stop, eq16(x, '\r'));
-    const std::uint64_t bits = lane_bits(stop);
-    if (bits != 0) return from + first_lane(bits);
-    from += 16;
-  }
-  return string_end_swar(data, size, from, quote);
-}
-
-std::size_t template_end_simd(const char* data, std::size_t size,
-                              std::size_t from) {
-  while (from + 16 <= size) {
-    const uint8x16_t x = load16(data + from);
-    uint8x16_t stop = eq16(x, '`');
-    stop = vorrq_u8(stop, eq16(x, '\\'));
-    stop = vorrq_u8(stop, eq16(x, '$'));
-    stop = vorrq_u8(stop, eq16(x, '\n'));
-    const std::uint64_t bits = lane_bits(stop);
-    if (bits != 0) return from + first_lane(bits);
-    from += 16;
-  }
-  return template_end_swar(data, size, from);
-}
-
-std::size_t block_comment_end_simd(const char* data, std::size_t size,
-                                   std::size_t from) {
-  while (from + 16 <= size) {
-    const uint8x16_t x = load16(data + from);
-    const std::uint64_t bits =
-        lane_bits(vorrq_u8(eq16(x, '*'), eq16(x, '\n')));
-    if (bits != 0) return from + first_lane(bits);
-    from += 16;
-  }
-  return block_comment_end_swar(data, size, from);
-}
-
-#endif  // JST_HAVE_SSE2 / JST_HAVE_NEON
-
-// --- policy ------------------------------------------------------------
-
-ScanPolicy clamp_policy(ScanPolicy policy) {
-  if (policy == ScanPolicy::kSimd && !support::simd_available()) {
-    return ScanPolicy::kSwar;
-  }
-  return policy;
-}
-
-ScanPolicy initial_policy() {
-  const char* env = std::getenv("JST_LEX_SCAN");
-  if (env != nullptr) {
-    if (std::strcmp(env, "scalar") == 0) return ScanPolicy::kScalar;
-    if (std::strcmp(env, "swar") == 0) return ScanPolicy::kSwar;
-    if (std::strcmp(env, "simd") == 0) {
-      return clamp_policy(ScanPolicy::kSimd);
-    }
-    // "auto" and unrecognized values both take the widest path.
-  }
-  return clamp_policy(ScanPolicy::kSimd);
-}
-
-std::atomic<ScanPolicy>& policy_cell() {
-  static std::atomic<ScanPolicy> cell{initial_policy()};
-  return cell;
-}
-
-}  // namespace
-
-ScanPolicy scan_policy() {
-  return policy_cell().load(std::memory_order_relaxed);
-}
-
-ScanPolicy set_scan_policy(ScanPolicy policy) {
-  const ScanPolicy installed = clamp_policy(policy);
-  policy_cell().store(installed, std::memory_order_relaxed);
-  return installed;
-}
-
-std::string_view scan_policy_name(ScanPolicy policy) {
-  switch (policy) {
-    case ScanPolicy::kScalar:
-      return "scalar";
-    case ScanPolicy::kSwar:
-      return "swar";
-    case ScanPolicy::kSimd:
-      return support::simd_kind_name(support::simd_kind());
-  }
-  return "unknown";
-}
-
-// Dispatch: one relaxed atomic load plus a three-way switch per call.
-// The policy never changes in steady state, so the branch predicts
-// perfectly; each call then processes a whole run, not a byte.
-
-#if JST_HAVE_SSE2 || JST_HAVE_NEON
-#define JST_SCAN_DISPATCH(fn, ...)                \
-  switch (scan_policy()) {                        \
-    case ScanPolicy::kScalar:                     \
-      return fn##_scalar(__VA_ARGS__);            \
-    case ScanPolicy::kSwar:                       \
-      return fn##_swar(__VA_ARGS__);              \
-    case ScanPolicy::kSimd:                       \
-      return fn##_simd(__VA_ARGS__);              \
-  }                                               \
-  return fn##_scalar(__VA_ARGS__)
-#else
-#define JST_SCAN_DISPATCH(fn, ...)                \
-  switch (scan_policy()) {                        \
-    case ScanPolicy::kScalar:                     \
-      return fn##_scalar(__VA_ARGS__);            \
-    case ScanPolicy::kSwar:                       \
-    case ScanPolicy::kSimd:                       \
-      return fn##_swar(__VA_ARGS__);              \
-  }                                               \
-  return fn##_scalar(__VA_ARGS__)
-#endif
-
-std::size_t find_id_end(const char* data, std::size_t size, std::size_t from) {
-  JST_SCAN_DISPATCH(id_end, data, size, from);
-}
-
-std::size_t find_ws_end(const char* data, std::size_t size, std::size_t from) {
-  JST_SCAN_DISPATCH(ws_end, data, size, from);
+  while (from < size && has_flag(uc(data[from]), kFlagWhitespace)) ++from;
+  return from;
 }
 
 std::size_t find_line_end(const char* data, std::size_t size,
                           std::size_t from) {
-  JST_SCAN_DISPATCH(line_end, data, size, from);
+  for (; from + 8 <= size; from += 8) {
+    const Word x = load(data + from);
+    const Word stop = eq_bytes(x, '\n') | eq_bytes(x, '\r');
+    if (stop != 0) return stop_index(from, stop);
+  }
+  while (from < size && !is_line_terminator_byte(uc(data[from]))) ++from;
+  return from;
 }
 
 std::size_t find_string_end(const char* data, std::size_t size,
                             std::size_t from, char quote) {
-  JST_SCAN_DISPATCH(string_end, data, size, from, quote);
+  for (; from + 8 <= size; from += 8) {
+    const Word x = load(data + from);
+    const Word stop = eq_bytes(x, uc(quote)) | eq_bytes(x, '\\') |
+                      eq_bytes(x, '\n') | eq_bytes(x, '\r');
+    if (stop != 0) return stop_index(from, stop);
+  }
+  for (; from < size; ++from) {
+    const char c = data[from];
+    if (c == quote || c == '\\' || c == '\n' || c == '\r') break;
+  }
+  return from;
 }
 
 std::size_t find_template_end(const char* data, std::size_t size,
                               std::size_t from) {
-  JST_SCAN_DISPATCH(template_end, data, size, from);
+  for (; from + 8 <= size; from += 8) {
+    const Word x = load(data + from);
+    const Word stop = eq_bytes(x, '`') | eq_bytes(x, '\\') |
+                      eq_bytes(x, '$') | eq_bytes(x, '\n');
+    if (stop != 0) return stop_index(from, stop);
+  }
+  for (; from < size; ++from) {
+    const char c = data[from];
+    if (c == '`' || c == '\\' || c == '$' || c == '\n') break;
+  }
+  return from;
 }
 
 std::size_t find_block_comment_end(const char* data, std::size_t size,
                                    std::size_t from) {
-  JST_SCAN_DISPATCH(block_comment_end, data, size, from);
+  for (; from + 8 <= size; from += 8) {
+    const Word x = load(data + from);
+    const Word stop = eq_bytes(x, '*') | eq_bytes(x, '\n');
+    if (stop != 0) return stop_index(from, stop);
+  }
+  while (from < size && data[from] != '*' && data[from] != '\n') ++from;
+  return from;
 }
-
-#undef JST_SCAN_DISPATCH
 
 }  // namespace jst::lex

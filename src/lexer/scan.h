@@ -9,22 +9,11 @@
 // byte the scalar lexer must actually look at, or `size` when the run
 // reaches the end of input.
 //
-// Three implementations sit behind each function:
-//   * scalar — byte-at-a-time over the char_class tables; the reference
-//     oracle the differential suite (test_lexer_diff) compares against,
-//     and the fallback for short runs and tail bytes.
-//   * swar   — 8 bytes per 64-bit word via support/swar.h, portable to
-//     any 64-bit target.
-//   * simd   — 16 bytes per step via SSE2 (x86-64) or NEON (AArch64),
-//     selected at compile time (support/cpu.h); on targets with neither,
-//     requesting it falls back to swar.
-//
-// Dispatch is a process-global policy resolved once from JST_LEX_SCAN
-// (scalar|swar|simd|auto, default auto = widest compiled-in path) and
-// overridable from tests via set_scan_policy(). The scanners only ever
-// SKIP bytes — every classification decision, every line/column update,
-// and all budget charging stay in the scalar lexer — so the token stream
-// is bit-identical under every policy (DESIGN.md §16).
+// Each scanner reads 8 bytes per 64-bit word via support/swar.h, portable
+// to any little-endian 64-bit target, and finishes the last size % 8
+// bytes one at a time. The scanners only ever SKIP bytes — every
+// classification decision, every line/column update, and all budget
+// charging stay in the scalar lexer (DESIGN.md §16).
 #pragma once
 
 #include <cstddef>
@@ -32,37 +21,15 @@
 
 namespace jst::lex {
 
+// The benchmark's host fingerprint reports the lexer scan path through
+// these two functions; SWAR is the only one, so they always say "swar".
 enum class ScanPolicy : unsigned char {
-  kScalar,
   kSwar,
-  kSimd,
 };
 
-// The active policy (JST_LEX_SCAN on first use unless overridden).
 ScanPolicy scan_policy();
 
-// Overrides the process-global policy (tests, benches). Requesting
-// kSimd on a target without a compiled-in 16-byte path selects kSwar;
-// the return value is the policy actually installed.
-ScanPolicy set_scan_policy(ScanPolicy policy);
-
 std::string_view scan_policy_name(ScanPolicy policy);
-
-// RAII policy override for tests: installs `policy`, restores the
-// previous policy on destruction.
-class ScopedScanPolicy {
- public:
-  explicit ScopedScanPolicy(ScanPolicy policy)
-      : previous_(scan_policy()) {
-    set_scan_policy(policy);
-  }
-  ~ScopedScanPolicy() { set_scan_policy(previous_); }
-  ScopedScanPolicy(const ScopedScanPolicy&) = delete;
-  ScopedScanPolicy& operator=(const ScopedScanPolicy&) = delete;
-
- private:
-  ScanPolicy previous_;
-};
 
 // --- the scanners -----------------------------------------------------
 // All contracts: 0 <= from <= size, `data` valid for `size` bytes;

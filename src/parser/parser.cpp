@@ -76,7 +76,7 @@ ParseResult parse_program(std::string_view source, Budget* budget,
   // atom table is cleared in the same breath — its views alias the arena.
   if (arena != nullptr) arena->reset();
   if (atoms != nullptr) atoms->clear();
-  ParseResult result{arena != nullptr ? Ast(arena, atoms) : Ast()};
+  ParseResult result{arena != nullptr ? Ast(arena, atoms) : Ast(), {}};
   support::Arena& frontend_arena = result.ast.arena();
   // Copy the script into the arena so token/node views never dangle on
   // the caller's buffer (one memcpy; reclaimed by the pooled reset).

@@ -9,12 +9,14 @@
 // lexer has just produced the bytes: Node carries the atom, and every
 // later scope operation is integer indexing.
 //
-// Same table discipline as features::IdentifierSet: open addressing with
-// linear probing over a power-of-two slot array, FNV-1a hashing,
-// byte-exact comparison on hash hits, O(1) epoch clear(). The interned
-// views alias the AST arena (Ast::intern copies the bytes there first),
-// so a table pooled across scripts must be clear()ed exactly when the
-// arena is reset — parse_program does both together.
+// Open addressing with linear probing over a power-of-two slot array,
+// FNV-1a hashing, byte-exact comparison on hash hits, O(1) epoch clear().
+// The feature extractor dedups identifiers by these ids (an
+// epoch-stamped array per atom, features/scratch.h) instead of hashing
+// spellings again. The interned views alias the AST arena (Ast::intern
+// copies the bytes there first), so a table pooled across scripts must be
+// clear()ed exactly when the arena is reset — parse_program does both
+// together.
 #pragma once
 
 #include <algorithm>

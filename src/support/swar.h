@@ -69,6 +69,11 @@ inline constexpr Word range7(Word x7, unsigned char lo, unsigned char hi) {
 // byte 0 is the lowest-addressed source byte).
 inline int first_marked(Word mask) { return std::countr_zero(mask) >> 3; }
 
+// load() + first_marked() map the lowest-addressed byte to the lowest
+// lane; on a big-endian target every scanner would return wrong offsets.
+static_assert(std::endian::native == std::endian::little,
+              "SWAR scanners assume a little-endian byte order");
+
 // --- compile-time self-checks on a few adversarial lanes ---
 static_assert(zero_bytes(0x0000000000000000ull) == kHigh);
 static_assert(zero_bytes(0x0101010101010101ull) == 0);

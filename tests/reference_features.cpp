@@ -1,5 +1,8 @@
 #include "reference_features.h"
 
+#include <string_view>
+#include <unordered_set>
+
 #include "ast/walk.h"
 
 namespace jst::features::reference {
@@ -26,10 +29,16 @@ std::vector<float> ngram_features(const Node* root, const NgramConfig& config) {
 
 std::vector<float> handpicked_features(const ScriptAnalysis& analysis) {
   const Node* root = analysis.parse.ast.root();
+  support::AtomTable& atoms = analysis.parse.ast.atoms();
   ExtractCounters counters;
-  walk_preorder(root, [&counters](const Node& node) {
-    gather_handpicked(node, counters);
+  // The library dedups identifiers by atom id; the oracle counts distinct
+  // spellings on its own, so the two are compared rather than shared.
+  std::unordered_set<std::string_view> spellings;
+  walk_preorder(root, [&](const Node& node) {
+    gather_handpicked(node, atoms, counters);
+    if (node.kind == NodeKind::kIdentifier) spellings.insert(node.str_value);
   });
+  counters.unique_identifiers = spellings.size();
   std::vector<float> out;
   assemble_handpicked(analysis, counters, tree_depth(root), tree_breadth(root),
                       out);

@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -74,12 +73,6 @@ const analysis::TransformationAnalyzer& shared_analyzer() {
     return built;
   }();
   return *analyzer;
-}
-
-// Wall-clock timings differ run to run; everything else must not.
-std::string strip_timing(const std::string& outcome_json) {
-  static const std::regex kTiming("\"timing\":\\{[^}]*\\},");
-  return std::regex_replace(outcome_json, kTiming, "");
 }
 
 // A unique-per-test socket path under /tmp (sun_path is length-limited,
