@@ -81,6 +81,11 @@ std::string write_bench_json(std::string_view bench,
     writer.key("threads"); writer.value(record.threads);
     writer.key("scripts"); writer.value(record.scripts);
     writer.key("wall_ms"); writer.value(record.wall_ms);
+    if (record.passes > 0) {
+      writer.key("passes"); writer.value(record.passes);
+      writer.key("wall_ms_p25"); writer.value(record.wall_ms_p25);
+      writer.key("wall_ms_p75"); writer.value(record.wall_ms_p75);
+    }
     writer.key("scripts_per_second"); writer.value(record.scripts_per_second);
     if (record.lex_ms > 0.0 || record.parse_ms > 0.0) {
       writer.key("lex_ms"); writer.value(record.lex_ms);

@@ -87,6 +87,11 @@ struct BenchRecord {
   // bytes > 0.
   std::size_t bytes = 0;
   double mb_per_second = 0.0;
+  // Optional dispersion (bench_lexer): when passes > 0, wall_ms is the
+  // median of that many timed passes and these are its quartiles.
+  std::size_t passes = 0;
+  double wall_ms_p25 = 0.0;
+  double wall_ms_p75 = 0.0;
 };
 
 // Writes `BENCH_<bench>.json` — {"bench":…,"scale":…,"results":[…]} —

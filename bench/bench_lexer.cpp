@@ -1,7 +1,10 @@
 // Lexer block-scanner microbenchmark (DESIGN.md §16).
 //
-// Measures tokenize-only throughput (MB/s) per input family. The
-// families stress different scanners: minified output is
+// Measures scan-only throughput (MB/s) per input family: the production
+// record scanner, `Lexer(source, arena).scan_all()`, into one arena reset
+// per script as parse_program does.
+//
+// The families stress different scanners: minified output is
 // punctuator-dense with long physical lines (whitespace scanner mostly
 // idle), JSFuck floods are short-token storms (runs too short for the
 // wide scanners to amortize — the interesting regression case), string-
@@ -9,9 +12,11 @@
 // find_string_end fast path), and plain sources mix identifiers,
 // comments, and indentation (find_id_end / find_ws_end / find_line_end).
 //
-// Emits BENCH_lexer.json via bench_common so the per-family trajectory
-// is recorded across revisions; one row per family, scanned by the SWAR
-// block scanners (the lexer's only scan path).
+// Each family is scanned kPasses times after one warm-up pass; a row
+// reports the median pass and its interquartile range, so a change is
+// read against the bench's own noise. Emits BENCH_lexer.json via
+// bench_common; one row per family, scanned by the SWAR block scanners
+// (the lexer's only scan path).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -114,23 +119,45 @@ Family string_heavy_family(std::size_t count) {
   return make_family("string_heavy", std::move(sources));
 }
 
-// Best-of-5 serial tokenize pass over the family.
-double measure_ms(const Family& family) {
-  double best = 1e300;
-  for (int pass = 0; pass < 5; ++pass) {
+constexpr int kPasses = 11;
+
+struct PassTimes {
+  double p25 = 0.0;
+  double median = 0.0;
+  double p75 = 0.0;
+};
+
+// Quantile of sorted samples, interpolated between neighbours.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double at = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t low = static_cast<std::size_t>(at);
+  const std::size_t high = std::min(low + 1, sorted.size() - 1);
+  return sorted[low] +
+         (sorted[high] - sorted[low]) * (at - static_cast<double>(low));
+}
+
+// Serial scan passes over the family (one untimed warm-up first).
+PassTimes measure_ms(const Family& family) {
+  support::Arena arena;
+  std::vector<double> samples;
+  for (int pass = -1; pass < kPasses; ++pass) {
     const auto start = std::chrono::steady_clock::now();
     std::size_t tokens = 0;
     for (const std::string& source : family.sources) {
-      support::Arena arena;
-      tokens += Lexer::tokenize(source, arena).size();
+      arena.reset();
+      TokenStats stats;
+      tokens += Lexer(source, arena).scan_all(&stats).count;
     }
     const auto stop = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
     if (tokens == 0) std::fprintf(stderr, "[bench] empty token stream?\n");
-    best = std::min(best, ms);
+    if (pass >= 0) {
+      samples.push_back(
+          std::chrono::duration<double, std::milli>(stop - start).count());
+    }
   }
-  return best;
+  std::sort(samples.begin(), samples.end());
+  return {quantile(samples, 0.25), quantile(samples, 0.5),
+          quantile(samples, 0.75)};
 }
 
 }  // namespace
@@ -146,16 +173,20 @@ int main() {
   families.push_back(jsfuck_family(count));
   families.push_back(string_heavy_family(count));
 
-  std::printf("lexer throughput (tokenize only, best of 5, serial)\n");
-  std::printf("%-14s %8s %10s %10s\n", "family", "bytes", "wall_ms", "MB/s");
+  std::printf("lexer throughput (scan_all only, median of %d passes, serial)\n",
+              kPasses);
+  std::printf("%-14s %8s %10s %19s %10s\n", "family", "bytes", "wall_ms",
+              "wall_ms IQR", "MB/s");
 
   std::vector<bench::BenchRecord> records;
   for (const Family& family : families) {
-    const double ms = measure_ms(family);
+    const PassTimes times = measure_ms(family);
+    const double ms = times.median;
     const double mbps =
         static_cast<double>(family.bytes) / 1048576.0 / (ms / 1000.0);
-    std::printf("%-14s %8zu %10.3f %10.1f\n", family.name.c_str(),
-                family.bytes, ms, mbps);
+    std::printf("%-14s %8zu %10.3f %9.3f-%-9.3f %10.1f\n",
+                family.name.c_str(), family.bytes, ms, times.p25, times.p75,
+                mbps);
 
     bench::BenchRecord record;
     record.config = "family=" + family.name + " scan=" +
@@ -163,6 +194,9 @@ int main() {
     record.threads = 1;
     record.scripts = family.sources.size();
     record.wall_ms = ms;
+    record.passes = kPasses;
+    record.wall_ms_p25 = times.p25;
+    record.wall_ms_p75 = times.p75;
     record.scripts_per_second =
         static_cast<double>(family.sources.size()) / (ms / 1000.0);
     record.bytes = family.bytes;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "ast/operators.h"
 #include "support/error.h"
 #include "support/strings.h"
 
@@ -11,49 +12,24 @@
 namespace jst {
 namespace {
 
-// Expression precedence levels (higher binds tighter).
+// Expression precedence levels (higher binds tighter). The binary tiers
+// sit between conditional and unary: level = operators.h tier + 2.
 enum Precedence : int {
   kPrecSequence = 0,
   kPrecAssignment = 1,
   kPrecConditional = 2,
-  kPrecNullish = 3,
-  kPrecLogicalOr = 4,
-  kPrecLogicalAnd = 5,
-  kPrecBitOr = 6,
-  kPrecBitXor = 7,
-  kPrecBitAnd = 8,
-  kPrecEquality = 9,
-  kPrecRelational = 10,
-  kPrecShift = 11,
-  kPrecAdditive = 12,
-  kPrecMultiplicative = 13,
-  kPrecExponent = 14,
   kPrecUnary = 15,
   kPrecPostfix = 16,
   kPrecNewNoArgs = 17,
   kPrecCallMember = 18,
   kPrecPrimary = 19,
 };
+static_assert(kPrecConditional + kBinaryOperators.back().tier + 1 ==
+              kPrecUnary);
 
 int binary_op_precedence(std::string_view op) {
-  if (op == "??") return kPrecNullish;
-  if (op == "||") return kPrecLogicalOr;
-  if (op == "&&") return kPrecLogicalAnd;
-  if (op == "|") return kPrecBitOr;
-  if (op == "^") return kPrecBitXor;
-  if (op == "&") return kPrecBitAnd;
-  if (op == "==" || op == "!=" || op == "===" || op == "!==") {
-    return kPrecEquality;
-  }
-  if (op == "<" || op == ">" || op == "<=" || op == ">=" || op == "in" ||
-      op == "instanceof") {
-    return kPrecRelational;
-  }
-  if (op == "<<" || op == ">>" || op == ">>>") return kPrecShift;
-  if (op == "+" || op == "-") return kPrecAdditive;
-  if (op == "*" || op == "/" || op == "%") return kPrecMultiplicative;
-  if (op == "**") return kPrecExponent;
-  return kPrecPrimary;
+  const int tier = binary_operator_tier(op);
+  return tier == 0 ? kPrecPrimary : kPrecConditional + tier;
 }
 
 int expression_precedence(const Node& node) {

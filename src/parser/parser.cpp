@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "ast/operators.h"
 #include "obs/trace.h"
 
 namespace jst {
@@ -12,25 +13,14 @@ namespace {
 // Per-id operator tables over kTokenTexts, built at compile time.
 using IdTable = std::array<std::int8_t, kTokenTexts.size()>;
 
-// Binary operator precedence (higher binds tighter; -1 = not a binary
-// operator). Mirrors the ES spec's MultiplicativeExpression..
-// RelationalExpression ladder; && / || / ?? are handled here too and
-// distinguished into LogicalExpression nodes. `in`/`instanceof` share the
-// equality tier (8 in spec) — the numbering differs from the spec's but
-// preserves relative order, which is all the climbing loop relies on.
+// Binary operator precedence per id: the spec tier from ast/operators.h
+// (the list codegen parenthesizes by), -1 = not a binary operator.
+// `??`, `||` and `&&` climb here too and become LogicalExpression nodes.
 constexpr IdTable kBinaryPrecedence = []() consteval {
   IdTable table{};
   table.fill(-1);
-  const std::pair<const char*, std::int8_t> operators[] = {
-      {"??", 1},  {"||", 2},  {"&&", 3},  {"|", 4},   {"^", 5},
-      {"&", 6},   {"==", 7},  {"!=", 7},  {"===", 7}, {"!==", 7},
-      {"in", 7},  {"instanceof", 7},      {"<", 8},   {">", 8},
-      {"<=", 8},  {">=", 8},  {"<<", 9},  {">>", 9},  {">>>", 9},
-      {"+", 10},  {"-", 10},  {"*", 11},  {"/", 11},  {"%", 11},
-      {"**", 12},
-  };
-  for (const auto& [text, precedence] : operators) {
-    table[token_id(text)] = precedence;
+  for (const BinaryOperator& op : kBinaryOperators) {
+    table[token_id(op.text)] = static_cast<std::int8_t>(op.tier);
   }
   return table;
 }();
@@ -45,8 +35,15 @@ constexpr IdTable kIsAssignmentOperator = []() consteval {
   return table;
 }();
 
-bool is_logical_op(std::uint8_t id) {
-  return id == token_id("&&") || id == token_id("||") || id == token_id("??");
+// Tokens that may name a property after '.' or as an object/class key.
+bool is_property_name(TokenType type) {
+  return type == TokenType::kIdentifier || type == TokenType::kKeyword ||
+         type == TokenType::kBooleanLiteral || type == TokenType::kNullLiteral;
+}
+
+bool is_binary_node(const Node* node) {
+  return node != nullptr && (node->kind == NodeKind::kBinaryExpression ||
+                             node->kind == NodeKind::kLogicalExpression);
 }
 
 }  // namespace
@@ -218,6 +215,9 @@ Node* Parser::parse_statement() {
       advance();
       return node;
     }
+    case token_id("let"):
+      if (!is_let_declaration()) break;
+      [[fallthrough]];
     case token_id("var"):
     case token_id("const"): {
       Node* decl = parse_variable_declaration();
@@ -226,7 +226,8 @@ Node* Parser::parse_statement() {
     }
     case token_id("if"): return parse_if();
     case token_id("for"): return parse_for();
-    case token_id("while"): return parse_while();
+    case token_id("while"):
+      return parse_while_or_with(NodeKind::kWhileStatement);
     case token_id("do"): return parse_do_while();
     case token_id("switch"): return parse_switch();
     case token_id("try"): return parse_try();
@@ -245,18 +246,10 @@ Node* Parser::parse_statement() {
       consume_semicolon();
       return node;
     }
-    case token_id("with"): return parse_with();
+    case token_id("with"):
+      return parse_while_or_with(NodeKind::kWithStatement);
     default:
       break;
-  }
-  // Contextual keyword `let` — only a declaration when followed by a
-  // binding form.
-  if (check_identifier("let") &&
-      (peek(1).type == TokenType::kIdentifier || check_punct("[", 1) ||
-       check_punct("{", 1))) {
-    Node* decl = parse_variable_declaration();
-    consume_semicolon();
-    return decl;
   }
   // `async function` declaration.
   if (check_identifier("async") && check_keyword("function", 1) &&
@@ -266,6 +259,22 @@ Node* Parser::parse_statement() {
     return parse_function(/*is_declaration=*/true, /*is_async=*/true);
   }
   return parse_labeled_or_expression_statement();
+}
+
+// Contextual keyword `let`: a declaration only when a binding form follows.
+bool Parser::is_let_declaration() const {
+  return check_identifier("let") &&
+         (peek(1).type == TokenType::kIdentifier || check_punct("[", 1) ||
+          check_punct("{", 1));
+}
+
+// '(' Expression ')': the head of if/while/do-while/switch/with, and a
+// parenthesized primary.
+Node* Parser::parse_paren_expression() {
+  expect_punct("(");
+  Node* expression = parse_expression();
+  expect_punct(")");
+  return expression;
 }
 
 Node* Parser::parse_block() {
@@ -301,9 +310,7 @@ Node* Parser::parse_if() {
   Node* node = ast_.make(NodeKind::kIfStatement);
   node->line = current().line;
   expect_keyword("if");
-  expect_punct("(");
-  Node* test = parse_expression();
-  expect_punct(")");
+  Node* test = parse_paren_expression();
   Node* consequent = parse_statement();
   Node* alternate = nullptr;
   if (match_keyword("else")) alternate = parse_statement();
@@ -321,10 +328,7 @@ Node* Parser::parse_for() {
     advance();
   } else {
     const bool is_decl =
-        check_keyword("var") || check_keyword("const") ||
-        (check_identifier("let") &&
-         (peek(1).type == TokenType::kIdentifier || check_punct("[", 1) ||
-          check_punct("{", 1)));
+        check_keyword("var") || check_keyword("const") || is_let_declaration();
     if (is_decl) {
       init = parse_variable_declaration();
     } else {
@@ -342,15 +346,24 @@ Node* Parser::parse_for() {
       node->kids = {init, right, body};
       return node;
     }
-    // `for (a in b)` with an expression head: the `in` was consumed as a
-    // binary operator by parse_expression; unfold it back.
-    if (init != nullptr && init->kind == NodeKind::kBinaryExpression &&
-        init->str_value == "in" && check_punct(")")) {
+    // `for (k in o)` with an expression head: parse_expression read the
+    // `in` as a binary operator, which leaves it at the bottom of the
+    // head's left spine (`k in a < b` groups as `(k in a) < b`). Unfold
+    // it: `k` is the target, and the head with the `in` node replaced by
+    // its right operand is the object.
+    Node** in_slot = &init;
+    while (is_binary_node(*in_slot) && is_binary_node((*in_slot)->kids[0])) {
+      in_slot = &(*in_slot)->kids[0];
+    }
+    if (is_binary_node(*in_slot) && (*in_slot)->str_value == "in" &&
+        check_punct(")")) {
+      Node* in_node = *in_slot;
+      *in_slot = in_node->kids[1];
       Node* node = ast_.make(NodeKind::kForInStatement);
       node->line = line;
       advance();  // ')'
       Node* body = parse_statement();
-      node->kids = {init->kids[0], init->kids[1], body};
+      node->kids = {in_node->kids[0], init, body};
       return node;
     }
     expect_punct(";");
@@ -369,15 +382,13 @@ Node* Parser::parse_for() {
   return node;
 }
 
-Node* Parser::parse_while() {
-  Node* node = ast_.make(NodeKind::kWhileStatement);
+// `while (test) body` and `with (object) body` share one shape.
+Node* Parser::parse_while_or_with(NodeKind kind) {
+  Node* node = ast_.make(kind);
   node->line = current().line;
-  expect_keyword("while");
-  expect_punct("(");
-  Node* test = parse_expression();
-  expect_punct(")");
-  Node* body = parse_statement();
-  node->kids = {test, body};
+  advance();  // while / with
+  Node* head = parse_paren_expression();
+  node->kids = {head, parse_statement()};
   return node;
 }
 
@@ -387,9 +398,7 @@ Node* Parser::parse_do_while() {
   expect_keyword("do");
   Node* body = parse_statement();
   expect_keyword("while");
-  expect_punct("(");
-  Node* test = parse_expression();
-  expect_punct(")");
+  Node* test = parse_paren_expression();
   match_punct(";");  // optional
   node->kids = {body, test};
   return node;
@@ -399,9 +408,7 @@ Node* Parser::parse_switch() {
   Node* node = ast_.make(NodeKind::kSwitchStatement);
   node->line = current().line;
   expect_keyword("switch");
-  expect_punct("(");
-  node->kids.push_back(parse_expression());
-  expect_punct(")");
+  node->kids.push_back(parse_paren_expression());
   expect_punct("{");
   while (!check_punct("}")) {
     if (at_end()) fail("unterminated switch body");
@@ -508,18 +515,6 @@ Node* Parser::parse_labeled_or_expression_statement() {
   return node;
 }
 
-Node* Parser::parse_with() {
-  Node* node = ast_.make(NodeKind::kWithStatement);
-  node->line = current().line;
-  expect_keyword("with");
-  expect_punct("(");
-  Node* object = parse_expression();
-  expect_punct(")");
-  Node* body = parse_statement();
-  node->kids = {object, body};
-  return node;
-}
-
 Node* Parser::parse_function(bool is_declaration, bool is_async) {
   Node* node = ast_.make(is_declaration ? NodeKind::kFunctionDeclaration
                                         : NodeKind::kFunctionExpression);
@@ -551,14 +546,9 @@ std::vector<Node*> Parser::parse_params() {
   std::vector<Node*> params;
   while (!check_punct(")")) {
     if (at_end()) fail("unterminated parameter list");
-    if (match_punct("...")) {
-      Node* rest = ast_.make(NodeKind::kRestElement);
-      rest->line = current().line;
-      rest->kids = {parse_binding_target()};
-      params.push_back(rest);
-    } else {
-      params.push_back(parse_binding_element());
-    }
+    params.push_back(match_punct("...")
+                         ? parse_ellipsis(NodeKind::kRestElement, true)
+                         : parse_binding_element());
     if (!match_punct(",")) break;
   }
   expect_punct(")");
@@ -588,13 +578,9 @@ Node* Parser::parse_binding_target() {
         advance();
         continue;
       }
-      if (match_punct("...")) {
-        Node* rest = ast_.make(NodeKind::kRestElement);
-        rest->kids = {parse_binding_target()};
-        pattern->kids.push_back(rest);
-      } else {
-        pattern->kids.push_back(parse_binding_element());
-      }
+      pattern->kids.push_back(
+          match_punct("...") ? parse_ellipsis(NodeKind::kRestElement, false)
+                             : parse_binding_element());
       if (!check_punct("]")) expect_punct(",");
     }
     expect_punct("]");
@@ -607,9 +593,7 @@ Node* Parser::parse_binding_target() {
     while (!check_punct("}")) {
       if (at_end()) fail("unterminated object pattern");
       if (match_punct("...")) {
-        Node* rest = ast_.make(NodeKind::kRestElement);
-        rest->kids = {parse_binding_target()};
-        pattern->kids.push_back(rest);
+        pattern->kids.push_back(parse_ellipsis(NodeKind::kRestElement, false));
       } else {
         Node* property = ast_.make(NodeKind::kProperty);
         property->line = current().line;
@@ -617,24 +601,13 @@ Node* Parser::parse_binding_target() {
         bool computed = false;
         Node* key = parse_property_key(&computed);
         property->flag_a = computed;
-        Node* value = nullptr;
         if (match_punct(":")) {
-          value = parse_binding_element();
+          property->kids = {key, parse_binding_element()};
         } else {
-          // Shorthand {a} or {a = default}.
-          property->flag_b = true;
-          if (key->kind != NodeKind::kIdentifier) {
-            fail("shorthand pattern property must be an identifier");
-          }
-          value = ast_.make_identifier(key->str_value);
-          value->line = key->line;
-          if (match_punct("=")) {
-            Node* with_default = ast_.make(NodeKind::kAssignmentPattern);
-            with_default->kids = {value, parse_assignment()};
-            value = with_default;
-          }
+          parse_shorthand_property(property, key,
+                                   "shorthand pattern property must be an "
+                                   "identifier");
         }
-        property->kids = {key, value};
         pattern->kids.push_back(property);
       }
       if (!check_punct("}")) expect_punct(",");
@@ -701,14 +674,7 @@ Node* Parser::parse_class(bool is_declaration) {
       method_kind = "constructor";
     }
     method->str_value = method_kind;
-    Node* function = ast_.make(NodeKind::kFunctionExpression);
-    function->line = method->line;
-    function->flag_b = is_generator;
-    function->flag_c = is_async;
-    function->kids = {nullptr, nullptr};
-    parse_function_rest(function);
-    method->kids = {key, function};
-    body->kids.push_back(method);
+    body->kids.push_back(parse_method(method, key, is_generator, is_async));
   }
   expect_punct("}");
   node->kids = {id, super_class, body};
@@ -822,7 +788,7 @@ Node* Parser::parse_binary(int min_precedence) {
     const int next_min =
         op.id == token_id("**") ? precedence : precedence + 1;
     Node* right = parse_binary(next_min);
-    Node* node = ast_.make(is_logical_op(op.id)
+    Node* node = ast_.make(precedence <= kLastLogicalTier
                                ? NodeKind::kLogicalExpression
                                : NodeKind::kBinaryExpression);
     node->line = left->line;
@@ -843,17 +809,13 @@ Node* Parser::parse_unary() {
     case token_id("-"):
     case token_id("typeof"):
     case token_id("void"):
-    case token_id("delete"): {
-      Node* node = ast_.make(NodeKind::kUnaryExpression);
-      node->line = token.line;
-      node->str_value = value(advance());
-      node->flag_a = true;  // prefix
-      node->kids = {parse_unary()};
-      return node;
-    }
+    case token_id("delete"):
     case token_id("++"):
     case token_id("--"): {
-      Node* node = ast_.make(NodeKind::kUpdateExpression);
+      const bool is_update =
+          token.id == token_id("++") || token.id == token_id("--");
+      Node* node = ast_.make(is_update ? NodeKind::kUpdateExpression
+                                       : NodeKind::kUnaryExpression);
       node->line = token.line;
       node->str_value = value(advance());
       node->flag_a = true;  // prefix
@@ -910,114 +872,67 @@ Node* Parser::parse_new() {
   Node* node = ast_.make(NodeKind::kNewExpression);
   node->line = line;
   node->kids = {callee};
-  if (match_punct("(")) {
-    while (!check_punct(")")) {
-      if (at_end()) fail("unterminated argument list");
-      if (match_punct("...")) {
-        Node* spread = ast_.make(NodeKind::kSpreadElement);
-        spread->kids = {parse_assignment()};
-        node->kids.push_back(spread);
-      } else {
-        node->kids.push_back(parse_assignment());
-      }
-      if (!match_punct(",")) break;
-    }
-    expect_punct(")");
-  }
+  if (check_punct("(")) parse_arguments(node);
   return parse_call_member(node, /*allow_call=*/true);
+}
+
+// The operand after '...': a SpreadElement over an assignment expression or
+// a RestElement over a binding target. `keep_line` records the line of the
+// token after '...', as array/object-literal spreads and parameter rests
+// do; argument spreads and pattern rests carry no line.
+Node* Parser::parse_ellipsis(NodeKind kind, bool keep_line) {
+  Node* node = ast_.make(kind);
+  if (keep_line) node->line = current().line;
+  node->kids = {kind == NodeKind::kSpreadElement ? parse_assignment()
+                                                 : parse_binding_target()};
+  return node;
+}
+
+// '(' arguments ')', appended to `call`'s kids.
+void Parser::parse_arguments(Node* call) {
+  expect_punct("(");
+  while (!check_punct(")")) {
+    if (at_end()) fail("unterminated argument list");
+    call->kids.push_back(match_punct("...")
+                             ? parse_ellipsis(NodeKind::kSpreadElement, false)
+                             : parse_assignment());
+    if (!match_punct(",")) break;
+  }
+  expect_punct(")");
 }
 
 Node* Parser::parse_call_member(Node* base, bool allow_call) {
   while (true) {
-    if (match_punct(".")) {
-      Node* node = ast_.make(NodeKind::kMemberExpression);
-      node->line = base->line;
-      const TokenRecord& name = current();
-      if (name.type != TokenType::kIdentifier &&
-          name.type != TokenType::kKeyword &&
-          name.type != TokenType::kBooleanLiteral &&
-          name.type != TokenType::kNullLiteral) {
-        fail("expected property name after '.'");
-      }
-      Node* property = ast_.make_identifier(value(advance()));
-      node->flag_a = false;  // dot notation
-      node->kids = {base, property};
-      base = node;
-    } else if (match_punct("?.")) {
-      // Optional chaining: model as a (non-optional) member/call — the
-      // syntactic trace (MemberExpression/CallExpression) is what matters.
-      if (check_punct("(")) {
-        if (!allow_call) break;
-        advance();
-        Node* node = ast_.make(NodeKind::kCallExpression);
-        node->line = base->line;
-        node->kids = {base};
-        while (!check_punct(")")) {
-          if (at_end()) fail("unterminated argument list");
-          if (match_punct("...")) {
-            Node* spread = ast_.make(NodeKind::kSpreadElement);
-            spread->kids = {parse_assignment()};
-            node->kids.push_back(spread);
-          } else {
-            node->kids.push_back(parse_assignment());
-          }
-          if (!match_punct(",")) break;
-        }
-        expect_punct(")");
-        base = node;
-      } else if (check_punct("[")) {
-        advance();
-        Node* node = ast_.make(NodeKind::kMemberExpression);
-        node->line = base->line;
-        node->flag_a = true;
-        Node* property = parse_expression();
-        expect_punct("]");
-        node->kids = {base, property};
-        base = node;
-      } else {
-        Node* node = ast_.make(NodeKind::kMemberExpression);
-        node->line = base->line;
-        Node* property = ast_.make_identifier(value(advance()));
-        node->kids = {base, property};
-        base = node;
-      }
-    } else if (check_punct("[")) {
-      advance();
-      Node* node = ast_.make(NodeKind::kMemberExpression);
-      node->line = base->line;
-      node->flag_a = true;  // bracket (computed) notation
-      Node* property = parse_expression();
-      expect_punct("]");
-      node->kids = {base, property};
-      base = node;
-    } else if (allow_call && check_punct("(")) {
-      advance();
-      Node* node = ast_.make(NodeKind::kCallExpression);
-      node->line = base->line;
+    // Optional chaining is modelled as a plain member/call: the syntactic
+    // trace (MemberExpression/CallExpression) is what matters. `?.` is
+    // followed by '(', '[' or a property name.
+    const bool optional = match_punct("?.");
+    Node* node = nullptr;
+    if (check_punct("(")) {
+      if (!allow_call) break;
+      node = ast_.make(NodeKind::kCallExpression);
       node->kids = {base};
-      while (!check_punct(")")) {
-        if (at_end()) fail("unterminated argument list");
-        if (match_punct("...")) {
-          Node* spread = ast_.make(NodeKind::kSpreadElement);
-          spread->kids = {parse_assignment()};
-          node->kids.push_back(spread);
-        } else {
-          node->kids.push_back(parse_assignment());
-        }
-        if (!match_punct(",")) break;
+      parse_arguments(node);
+    } else if (match_punct("[")) {
+      node = ast_.make(NodeKind::kMemberExpression);
+      node->flag_a = true;  // bracket (computed) notation
+      node->kids = {base, parse_expression()};
+      expect_punct("]");
+    } else if (optional || match_punct(".")) {
+      node = ast_.make(NodeKind::kMemberExpression);
+      if (!is_property_name(current().type)) {
+        fail(optional ? "expected property name after '?.'"
+                      : "expected property name after '.'");
       }
-      expect_punct(")");
-      base = node;
+      node->kids = {base, ast_.make_identifier(value(advance()))};
     } else if (current().type == TokenType::kTemplate) {
-      // Tagged template.
-      Node* node = ast_.make(NodeKind::kTaggedTemplateExpression);
-      node->line = base->line;
-      Node* quasi = parse_template_literal(advance());
-      node->kids = {base, quasi};
-      base = node;
+      node = ast_.make(NodeKind::kTaggedTemplateExpression);
+      node->kids = {base, parse_template_literal(advance())};
     } else {
       break;
     }
+    node->line = base->line;
+    base = node;
   }
   return base;
 }
@@ -1068,14 +983,9 @@ Node* Parser::parse_array_literal() {
       advance();
       continue;
     }
-    if (match_punct("...")) {
-      Node* spread = ast_.make(NodeKind::kSpreadElement);
-      spread->line = current().line;
-      spread->kids = {parse_assignment()};
-      node->kids.push_back(spread);
-    } else {
-      node->kids.push_back(parse_assignment());
-    }
+    node->kids.push_back(match_punct("...")
+                             ? parse_ellipsis(NodeKind::kSpreadElement, true)
+                             : parse_assignment());
     if (!check_punct("]")) expect_punct(",");
   }
   expect_punct("]");
@@ -1104,10 +1014,7 @@ Node* Parser::parse_property_key(bool* computed) {
     advance();
     return key;
   }
-  if (token.type == TokenType::kIdentifier ||
-      token.type == TokenType::kKeyword ||
-      token.type == TokenType::kBooleanLiteral ||
-      token.type == TokenType::kNullLiteral) {
+  if (is_property_name(token.type)) {
     Node* key = ast_.make_identifier(value(advance()));
     key->line = token.line;
     return key;
@@ -1128,12 +1035,8 @@ Node* Parser::parse_object_property() {
     bool computed = false;
     Node* key = parse_property_key(&computed);
     property->flag_a = computed;
-    Node* function = ast_.make(NodeKind::kFunctionExpression);
-    function->line = property->line;
-    function->kids = {nullptr, nullptr};
-    parse_function_rest(function);
-    property->kids = {key, function};
-    return property;
+    return parse_method(property, key, /*is_generator=*/false,
+                        /*is_async=*/false);
   }
 
   bool is_async = false;
@@ -1150,16 +1053,8 @@ Node* Parser::parse_object_property() {
   Node* key = parse_property_key(&computed);
   property->flag_a = computed;
 
-  if (check_punct("(")) {
-    // Method shorthand.
-    Node* function = ast_.make(NodeKind::kFunctionExpression);
-    function->line = property->line;
-    function->flag_b = is_generator;
-    function->flag_c = is_async;
-    function->kids = {nullptr, nullptr};
-    parse_function_rest(function);
-    property->kids = {key, function};
-    return property;
+  if (check_punct("(")) {  // method shorthand
+    return parse_method(property, key, is_generator, is_async);
   }
   if (is_async || is_generator) fail("expected method body");
 
@@ -1167,9 +1062,16 @@ Node* Parser::parse_object_property() {
     property->kids = {key, parse_assignment()};
     return property;
   }
-  // Shorthand property {a} or {a = default} (the latter only valid in
-  // patterns, accepted here for simplicity).
-  if (key->kind != NodeKind::kIdentifier) fail("expected ':' after key");
+  // {a = default} is only valid in patterns; accepted here for simplicity.
+  return parse_shorthand_property(property, key, "expected ':' after key");
+}
+
+// Shorthand property tail {a} or {a = default}, shared by object patterns
+// and object literals; `error` is reported when the key is not an
+// identifier.
+Node* Parser::parse_shorthand_property(Node* property, Node* key,
+                                       const char* error) {
+  if (key->kind != NodeKind::kIdentifier) fail(error);
   property->flag_b = true;
   Node* value = ast_.make_identifier(key->str_value);
   value->line = key->line;
@@ -1182,20 +1084,28 @@ Node* Parser::parse_object_property() {
   return property;
 }
 
+// The FunctionExpression of a class method, accessor or method shorthand;
+// `owner` (MethodDefinition or Property) gets kids {key, function}.
+Node* Parser::parse_method(Node* owner, Node* key, bool is_generator,
+                           bool is_async) {
+  Node* function = ast_.make(NodeKind::kFunctionExpression);
+  function->line = owner->line;
+  function->flag_b = is_generator;
+  function->flag_c = is_async;
+  function->kids = {nullptr, nullptr};
+  owner->kids = {key, parse_function_rest(function)};
+  return owner;
+}
+
 Node* Parser::parse_object_literal() {
   Node* node = ast_.make(NodeKind::kObjectExpression);
   node->line = current().line;
   expect_punct("{");
   while (!check_punct("}")) {
     if (at_end()) fail("unterminated object literal");
-    if (match_punct("...")) {
-      Node* spread = ast_.make(NodeKind::kSpreadElement);
-      spread->line = current().line;
-      spread->kids = {parse_assignment()};
-      node->kids.push_back(spread);
-    } else {
-      node->kids.push_back(parse_object_property());
-    }
+    node->kids.push_back(match_punct("...")
+                             ? parse_ellipsis(NodeKind::kSpreadElement, true)
+                             : parse_object_property());
     if (!check_punct("}")) expect_punct(",");
   }
   expect_punct("}");
@@ -1274,12 +1184,8 @@ Node* Parser::parse_primary() {
     }
     case TokenType::kPunctuator: {
       switch (token.id) {
-        case token_id("("): {
-          advance();
-          Node* expression = parse_expression();
-          expect_punct(")");
-          return expression;
-        }
+        case token_id("("):
+          return parse_paren_expression();
         case token_id("["):
           return parse_array_literal();
         case token_id("{"):

@@ -97,14 +97,16 @@ class Parser {
   // True if the '(' at `ahead` starts an arrow-function parameter list
   // (scans to the matching ')' and checks for '=>').
   bool is_arrow_ahead(std::size_t ahead) const;
+  bool is_let_declaration() const;
 
   // --- statements ---
   Node* parse_statement();
   Node* parse_block();
   Node* parse_variable_declaration();  // current token: var/let/const
+  Node* parse_paren_expression();  // '(' expression ')'
   Node* parse_if();
   Node* parse_for();
-  Node* parse_while();
+  Node* parse_while_or_with(NodeKind kind);
   Node* parse_do_while();
   Node* parse_switch();
   Node* parse_try();
@@ -112,7 +114,6 @@ class Parser {
   Node* parse_throw();
   Node* parse_break_continue(bool is_break);
   Node* parse_labeled_or_expression_statement();
-  Node* parse_with();
   Node* parse_function(bool is_declaration, bool is_async);
   Node* parse_class(bool is_declaration);
 
@@ -124,11 +125,15 @@ class Parser {
   Node* parse_unary();
   Node* parse_postfix();
   Node* parse_call_member(Node* base, bool allow_call);
+  void parse_arguments(Node* call);
+  Node* parse_ellipsis(NodeKind kind, bool keep_line);  // after '...'
   Node* parse_new();
   Node* parse_primary();
   Node* parse_array_literal();
   Node* parse_object_literal();
   Node* parse_object_property();
+  Node* parse_shorthand_property(Node* property, Node* key, const char* error);
+  Node* parse_method(Node* owner, Node* key, bool is_generator, bool is_async);
   Node* parse_template_literal(const TokenRecord& token);
   Node* parse_arrow_tail(std::vector<Node*> params, bool is_async);
   // (params travel through a transient std::vector; they are copied into

@@ -24,7 +24,6 @@
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -38,6 +37,7 @@
 #include "support/json_reader.h"
 #include "support/rng.h"
 #include "transform/transform.h"
+#include "strip_timing.h"
 
 namespace jst {
 namespace {
@@ -91,12 +91,6 @@ const analysis::TransformationAnalyzer& other_analyzer() {
     return built;
   }();
   return *analyzer;
-}
-
-// Wall-clock timings differ run to run; everything else must not.
-std::string strip_timing(const std::string& outcome_json) {
-  static const std::regex kTiming("\"timing\":\\{[^}]*\\},");
-  return std::regex_replace(outcome_json, kTiming, "");
 }
 
 // RAII scratch directory for disk-tier tests.

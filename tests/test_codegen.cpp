@@ -104,6 +104,9 @@ TEST(Codegen, PrecedenceParenthesization) {
   EXPECT_EQ(minified("f((a, b));"), "f((a,b));");
   // Conditional in argument position has no parens.
   EXPECT_EQ(minified("f(a ? b : c);"), "f(a?b:c);");
+  // `in` shares the relational tier with `<`, below equality.
+  EXPECT_EQ(minified("x = a in b < c;"), "x=a in b<c;");
+  EXPECT_EQ(minified("x = a == b in c;"), "x=a==b in c;");
 }
 
 TEST(Codegen, ObjectLiteralStatementParenthesized) {

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "parser/parser.h"
 #include "support/rng.h"
 #include "transform/transform.h"
+#include "strip_timing.h"
 
 namespace jst {
 namespace {
@@ -66,13 +66,6 @@ const analysis::TransformationAnalyzer& shared_analyzer() {
     return built;
   }();
   return *analyzer;
-}
-
-// Wall-clock timings differ run to run; everything else must not. The
-// fixture was normalized with the same expression.
-std::string strip_timing(const std::string& outcome_json) {
-  static const std::regex kTiming("\"timing\":\\{[^}]*\\},");
-  return std::regex_replace(outcome_json, kTiming, "");
 }
 
 std::vector<std::string> golden_lines() {

@@ -57,6 +57,19 @@ TEST(Parser, ForInWithExpressionHead) {
   const ParseResult result = parse("for (key in map) { use(key); }");
   EXPECT_EQ(count_kind(result, NodeKind::kForInStatement), 1u);
   EXPECT_EQ(count_kind(result, NodeKind::kBinaryExpression), 0u);
+  // The object is a whole Expression: the head's own `in` is the loop's,
+  // whatever binary operators follow it.
+  for (const auto& [source, object_op] :
+       {std::pair{"for (k in a < b);", "<"},
+        std::pair{"for (k in a in b);", "in"},
+        std::pair{"for (k in a * b == c);", "=="}}) {
+    const ParseResult head = parse(source);
+    const Node* loop = head.ast.root()->kids[0];
+    ASSERT_EQ(loop->kind, NodeKind::kForInStatement) << source;
+    EXPECT_EQ(loop->kids[0]->kind, NodeKind::kIdentifier) << source;
+    EXPECT_EQ(loop->kids[0]->str_value, "k") << source;
+    EXPECT_EQ(loop->kids[1]->str_value, object_op) << source;
+  }
 }
 
 TEST(Parser, WhileAndDoWhile) {
@@ -101,6 +114,49 @@ TEST(Parser, OperatorPrecedence) {
   ASSERT_EQ(plus->kind, NodeKind::kBinaryExpression);
   EXPECT_EQ(plus->str_value, "+");
   EXPECT_EQ(plus->kids[1]->str_value, "*");
+
+  // Every ordered pair of binary operators groups as the ES spec says.
+  // Tiers written from the spec's grammar (ECMA-262 §13.6-§13.13), loosest
+  // first: ShortCircuit (`??`), LogicalOR, LogicalAND, BitwiseOR,
+  // BitwiseXOR, BitwiseAND, Equality, Relational (`in` and `instanceof`
+  // included), Shift, Additive, Multiplicative, Exponentiation. `**` is
+  // the only right-associative one.
+  const std::pair<std::string_view, int> spec_tiers[] = {
+      {"??", 1},  {"||", 2},  {"&&", 3},  {"|", 4},   {"^", 5},
+      {"&", 6},   {"==", 7},  {"!=", 7},  {"===", 7}, {"!==", 7},
+      {"<", 8},   {">", 8},   {"<=", 8},  {">=", 8},  {"in", 8},
+      {"instanceof", 8},      {"<<", 9},  {">>", 9},  {">>>", 9},
+      {"+", 10},  {"-", 10},  {"*", 11},  {"/", 11},  {"%", 11},
+      {"**", 12},
+  };
+  const auto is_logical = [](std::string_view op) {
+    return op == "??" || op == "||" || op == "&&";
+  };
+  for (const auto& [first, first_tier] : spec_tiers) {
+    for (const auto& [second, second_tier] : spec_tiers) {
+      // The spec forbids `??` beside `||`/`&&` without parentheses.
+      if ((first == "??" && (second == "||" || second == "&&")) ||
+          (second == "??" && (first == "||" || first == "&&"))) {
+        continue;
+      }
+      const std::string source = "a " + std::string(first) + " b " +
+                                 std::string(second) + " c;";
+      const ParseResult pair = parse(source);
+      const Node* top = pair.ast.root()->kids[0]->kids[0];
+      const bool groups_left =
+          first_tier > second_tier ||
+          (first_tier == second_tier && first != "**");
+      const Node* inner = top->kids[groups_left ? 0 : 1];
+      EXPECT_EQ(top->str_value, groups_left ? second : first) << source;
+      EXPECT_EQ(inner->str_value, groups_left ? first : second) << source;
+      for (const Node* node : {top, inner}) {
+        EXPECT_EQ(node->kind, is_logical(node->str_value)
+                                  ? NodeKind::kLogicalExpression
+                                  : NodeKind::kBinaryExpression)
+            << source;
+      }
+    }
+  }
 }
 
 TEST(Parser, ExponentRightAssociative) {
@@ -323,6 +379,12 @@ TEST(Parser, OptionalChainingDesugared) {
   const ParseResult result = parse("a?.b; c?.[0]; d?.(1);");
   EXPECT_EQ(count_kind(result, NodeKind::kMemberExpression), 2u);
   EXPECT_EQ(count_kind(result, NodeKind::kCallExpression), 1u);
+  // `?.name` takes the same property names as `.name`.
+  EXPECT_THROW(parse("a?.+b;"), ParseError);
+  EXPECT_THROW(parse("x = a?.+;"), ParseError);
+  EXPECT_THROW(parse("a?.;"), ParseError);
+  EXPECT_THROW(parse("a?.`t`;"), ParseError);
+  EXPECT_NO_THROW(parse("a?.if;"));
 }
 
 TEST(Parser, FinalizeAssignsIdsAndParents) {
