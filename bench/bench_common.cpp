@@ -152,58 +152,8 @@ void print_note(std::string_view text) {
   std::printf("  note: %.*s\n", static_cast<int>(text.size()), text.data());
 }
 
-void print_series_header(std::string_view x_label,
-                         std::string_view series_names) {
-  std::printf("%-12.*s %s\n", static_cast<int>(x_label.size()), x_label.data(),
-              std::string(series_names).c_str());
-}
-
 void print_footer() {
   std::printf("-------------------------------------------------------------\n");
-}
-
-PopulationMeasurement measure_population(const analysis::PopulationSpec& spec,
-                                         std::size_t count,
-                                         std::uint64_t seed) {
-  const analysis::AnalyzerService service(analyzer());
-  const auto samples = analysis::simulate_population(spec, count, seed);
-  std::vector<std::string> sources;
-  sources.reserve(samples.size());
-  for (const analysis::Sample& sample : samples) {
-    sources.push_back(sample.source);
-  }
-  const analysis::BatchResponse batch =
-      service.analyze_batch(analysis::make_source_requests(sources));
-
-  PopulationMeasurement out;
-  out.technique_confidence.assign(transform::kTechniqueCount, 0.0);
-  std::size_t transformed = 0;
-  for (const analysis::AnalyzeResponse& response : batch.responses) {
-    const analysis::ScriptOutcome& outcome = response.outcome;
-    if (outcome.parse_failed()) continue;
-    const analysis::ScriptReport& report = outcome.report;
-    ++out.script_count;
-    if (report.level1.transformed()) {
-      ++transformed;
-      for (std::size_t i = 0; i < report.technique_confidence.size(); ++i) {
-        out.technique_confidence[i] += report.technique_confidence[i];
-      }
-    }
-    if (report.level1.minified()) out.minified_rate += 1.0;
-    if (report.level1.obfuscated()) out.obfuscated_rate += 1.0;
-  }
-  if (out.script_count > 0) {
-    out.transformed_rate =
-        static_cast<double>(transformed) / static_cast<double>(out.script_count);
-    out.minified_rate /= static_cast<double>(out.script_count);
-    out.obfuscated_rate /= static_cast<double>(out.script_count);
-  }
-  if (transformed > 0) {
-    for (double& confidence : out.technique_confidence) {
-      confidence /= static_cast<double>(transformed);
-    }
-  }
-  return out;
 }
 
 }  // namespace jst::bench

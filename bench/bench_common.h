@@ -1,6 +1,7 @@
-// Shared infrastructure for the study benches: one trained analyzer per
-// process (scale via JSTRACED_BENCH_SCALE), and formatting helpers that
-// print each reproduced number next to the paper's reported value.
+// Shared infrastructure for jst-study and the engineering benches: one
+// trained analyzer per process (scale via JSTRACED_BENCH_SCALE), and
+// formatting helpers that print each reproduced number next to the
+// paper's reported value.
 #pragma once
 
 #include <span>
@@ -37,8 +38,6 @@ void print_header(std::string_view title, std::string_view paper_ref);
 void print_row(std::string_view metric, double paper_value,
                double measured_value, std::string_view unit = "%");
 void print_note(std::string_view text);
-void print_series_header(std::string_view x_label,
-                         std::string_view series_names);
 void print_footer();
 
 // --- machine-readable results (BENCH_*.json) ---
@@ -100,20 +99,5 @@ struct BenchRecord {
 // written, or an empty string on I/O failure (reported to stderr).
 std::string write_bench_json(std::string_view bench,
                              std::span<const BenchRecord> records);
-
-// Measured transformed-rate of a simulated population under the trained
-// level-1 detector.
-struct PopulationMeasurement {
-  double transformed_rate = 0.0;
-  double minified_rate = 0.0;
-  double obfuscated_rate = 0.0;
-  // Average level-2 confidence per technique over transformed scripts.
-  std::vector<double> technique_confidence;
-  std::size_t script_count = 0;
-};
-
-PopulationMeasurement measure_population(const analysis::PopulationSpec& spec,
-                                         std::size_t count,
-                                         std::uint64_t seed);
 
 }  // namespace jst::bench

@@ -101,11 +101,6 @@ std::vector<transform::Technique> Level2Detector::predict_techniques(
   return predict_techniques(row, scratch);
 }
 
-std::vector<transform::Technique> Level2Detector::predict_topk(
-    std::span<const float> row, std::size_t k) const {
-  return techniques_from_indices(ml::top_k_labels(predict_proba(row), k));
-}
-
 void Level2Detector::save(std::ostream& out, ml::ModelEncoding encoding) const {
   write_model_header(out, make_model_header("level2", config_));
   classifier_->save(out, encoding);

@@ -98,9 +98,6 @@ class Level2Detector {
       std::span<const float> row) const;
   std::vector<transform::Technique> predict_techniques(
       std::span<const float> row, ml::PredictScratch& scratch) const;
-  // The k most confident techniques, no threshold.
-  std::vector<transform::Technique> predict_topk(std::span<const float> row,
-                                                 std::size_t k) const;
 
   const DetectorConfig& config() const { return config_; }
 

@@ -804,8 +804,23 @@ class Printer {
       case NodeKind::kLogicalExpression: {
         const int precedence = binary_op_precedence(node.str_value);
         const bool right_assoc = node.str_value == "**";
-        emit_expression(*node.kids[0],
-                        right_assoc ? precedence + 1 : precedence);
+        int left_min = right_assoc ? precedence + 1 : precedence;
+        int right_min = right_assoc ? precedence : precedence + 1;
+        const Node& left = *node.kids[0];
+        // The parser rejects `-a ** b` and `??` beside a bare `||`/`&&`,
+        // so those operands keep their parentheses.
+        if (right_assoc && (left.kind == NodeKind::kUnaryExpression ||
+                            left.kind == NodeKind::kAwaitExpression)) {
+          left_min = kPrecPostfix;
+        }
+        if (node.str_value == "??") {
+          right_min = binary_op_precedence("|");
+          if (left.kind == NodeKind::kLogicalExpression &&
+              left.str_value != "??") {
+            left_min = right_min;
+          }
+        }
+        emit_expression(left, left_min);
         space();
         token(node.str_value);
         if (node.str_value == "in" || node.str_value == "instanceof") {
@@ -813,8 +828,7 @@ class Printer {
         } else {
           space();
         }
-        emit_expression(*node.kids[1],
-                        right_assoc ? precedence : precedence + 1);
+        emit_expression(*node.kids[1], right_min);
         break;
       }
       case NodeKind::kAssignmentExpression:

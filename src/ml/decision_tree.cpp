@@ -217,12 +217,16 @@ void DecisionTree::load(std::istream& in) {
   if (!(in >> count >> depth_ >> feature_count_)) {
     throw ModelError("DecisionTree::load: bad header");
   }
-  nodes_.assign(count, TreeNode{});
-  for (TreeNode& node : nodes_) {
+  // Grown as nodes are read, so a corrupt count cannot force a huge
+  // allocation before the truncation is noticed.
+  nodes_.clear();
+  for (std::size_t i = 0; i < count; ++i) {
+    TreeNode node;
     if (!(in >> node.feature >> node.threshold >> node.left >> node.right >>
           node.value >> node.importance)) {
       throw ModelError("DecisionTree::load: truncated node table");
     }
+    nodes_.push_back(node);
   }
 }
 
@@ -238,8 +242,7 @@ void DecisionTree::load_binary(std::istream& in) {
   depth_ = static_cast<std::size_t>(codec::read_u64(in, "tree depth"));
   feature_count_ =
       static_cast<std::size_t>(codec::read_u64(in, "tree feature count"));
-  nodes_.assign(static_cast<std::size_t>(count), TreeNode{});
-  codec::read_array<TreeNode>(in, nodes_, "tree node table");
+  codec::read_vector<TreeNode>(in, count, nodes_, "tree node table");
 }
 
 void DecisionTree::add_feature_importance(std::vector<double>& out) const {

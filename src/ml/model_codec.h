@@ -9,12 +9,14 @@
 // stream fails loudly instead of yielding a half-loaded model.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <istream>
 #include <ostream>
 #include <span>
+#include <vector>
 
 #include "support/error.h"
 
@@ -50,6 +52,21 @@ void read_array(std::istream& in, std::span<T> values, const char* what) {
                static_cast<std::streamsize>(values.size() * sizeof(T)))) {
     throw ModelError(std::string("model load: truncated binary stream (") +
                      what + ")");
+  }
+}
+
+// Reads `count` elements into `values`, growing it chunk by chunk as the
+// bytes arrive: a count patched past the stream's size fails as a
+// truncation instead of allocating `count` elements up front.
+template <typename T>
+void read_vector(std::istream& in, std::uint64_t count, std::vector<T>& values,
+                 const char* what) {
+  constexpr std::uint64_t kChunk = 4096;
+  values.clear();
+  while (values.size() < count) {
+    const std::size_t at = values.size();
+    values.resize(at + static_cast<std::size_t>(std::min(count - at, kChunk)));
+    read_array<T>(in, std::span<T>(values).subspan(at), what);
   }
 }
 

@@ -124,8 +124,8 @@ void load_forests(std::vector<RandomForest>& forests, const char* tag,
   if (!(in >> magic >> count) || magic != tag) {
     throw ModelError(std::string("multilabel load: expected ") + tag);
   }
-  forests.assign(count, RandomForest{});
-  for (RandomForest& forest : forests) forest.load(in);
+  forests.clear();
+  for (std::size_t i = 0; i < count; ++i) forests.emplace_back().load(in);
 }
 
 }  // namespace

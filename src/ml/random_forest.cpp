@@ -86,8 +86,12 @@ void RandomForest::load(std::istream& in) {
     const std::uint64_t count = codec::read_u64(in, "forest tree count");
     feature_count_ =
         static_cast<std::size_t>(codec::read_u64(in, "forest feature count"));
-    trees_.assign(static_cast<std::size_t>(count), DecisionTree{});
-    for (DecisionTree& tree : trees_) tree.load_binary(in);
+    // Trees are appended as they load, in both encodings: a corrupt count
+    // fails on the first missing tree, not on a count-sized allocation.
+    trees_.clear();
+    for (std::uint64_t i = 0; i < count; ++i) {
+      trees_.emplace_back().load_binary(in);
+    }
     return;
   }
   if (magic != kForestMagic) {
@@ -98,8 +102,8 @@ void RandomForest::load(std::istream& in) {
   if (!(in >> count >> feature_count_)) {
     throw ModelError("RandomForest::load: bad header");
   }
-  trees_.assign(count, DecisionTree{});
-  for (DecisionTree& tree : trees_) tree.load(in);
+  trees_.clear();
+  for (std::size_t i = 0; i < count; ++i) trees_.emplace_back().load(in);
 }
 
 std::vector<double> RandomForest::feature_importance() const {

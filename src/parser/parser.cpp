@@ -778,15 +778,34 @@ Node* Parser::parse_conditional() {
   return node;
 }
 
+// Precedence climbing over kBinaryPrecedence. `head` is one operand from
+// parse_unary, so any operator inside it was parenthesized; every node
+// this loop builds is a bare operand of the next operator.
 Node* Parser::parse_binary(int min_precedence) {
-  Node* left = parse_unary();
+  const bool head_parenthesized = check_punct("(");
+  Node* const head = parse_unary();
+  Node* left = head;
   while (true) {
     const int precedence = kBinaryPrecedence[current().id];
     if (precedence < 0 || precedence < min_precedence) break;
     const TokenRecord& op = advance();
+    const bool coalesce = op.id == token_id("??");
+    // The spec's CoalesceExpression takes BitwiseOR operands: `??` does
+    // not mix with a bare `||` or `&&` on either side.
+    if (left != head && left->kind == NodeKind::kLogicalExpression &&
+        (left->str_value == "??") != coalesce) {
+      fail("'?\?' cannot be mixed with '||' or '&&' without parentheses");
+    }
+    // `-a ** b` is ambiguous, so the spec rejects a bare unary base.
+    if (op.id == token_id("**") && !head_parenthesized &&
+        (head->kind == NodeKind::kUnaryExpression ||
+         head->kind == NodeKind::kAwaitExpression)) {
+      fail("unary operator before '**' needs parentheses");
+    }
     // '**' is right-associative; everything else left-associative.
-    const int next_min =
-        op.id == token_id("**") ? precedence : precedence + 1;
+    const int next_min = op.id == token_id("**") ? precedence
+                         : coalesce ? kBinaryPrecedence[token_id("|")]
+                                    : precedence + 1;
     Node* right = parse_binary(next_min);
     Node* node = ast_.make(precedence <= kLastLogicalTier
                                ? NodeKind::kLogicalExpression
@@ -1067,11 +1086,11 @@ Node* Parser::parse_object_property() {
 }
 
 // Shorthand property tail {a} or {a = default}, shared by object patterns
-// and object literals; `error` is reported when the key is not an
-// identifier.
+// and object literals; `error` is reported when the key is not a plain
+// identifier (`{[a]}` is computed, property->flag_a).
 Node* Parser::parse_shorthand_property(Node* property, Node* key,
                                        const char* error) {
-  if (key->kind != NodeKind::kIdentifier) fail(error);
+  if (key->kind != NodeKind::kIdentifier || property->flag_a) fail(error);
   property->flag_b = true;
   Node* value = ast_.make_identifier(key->str_value);
   value->line = key->line;

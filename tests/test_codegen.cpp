@@ -107,6 +107,20 @@ TEST(Codegen, PrecedenceParenthesization) {
   // `in` shares the relational tier with `<`, below equality.
   EXPECT_EQ(minified("x = a in b < c;"), "x=a in b<c;");
   EXPECT_EQ(minified("x = a == b in c;"), "x=a==b in c;");
+  // `??` beside `||`/`&&` and a unary base of `**` need their parentheses
+  // to parse again.
+  EXPECT_EQ(minified("x = a ?? (b || c);"), "x=a?\?(b||c);");
+  EXPECT_EQ(minified("x = (a || b) ?? c;"), "x=(a||b)??c;");
+  EXPECT_EQ(minified("x = (a ?? b) && c;"), "x=(a??b)&&c;");
+  EXPECT_EQ(minified("x = a ?? b ?? c;"), "x=a??b??c;");
+  EXPECT_EQ(minified("x = a ?? (b ?? c);"), "x=a?\?(b?\?c);");
+  EXPECT_EQ(minified("x = (-a) ** b;"), "x=(-a)**b;");
+  EXPECT_EQ(minified("x = a ** -b;"), "x=a**-b;");
+  for (const char* source :
+       {"x = a ?? (b || c);", "x = (a && b) ?? c;", "x = (-a) ** b;",
+        "async function f() { return (await a) ** b; }"}) {
+    expect_roundtrip(source);
+  }
 }
 
 TEST(Codegen, ObjectLiteralStatementParenthesized) {

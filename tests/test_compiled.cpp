@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -386,6 +387,49 @@ TEST(BinaryModelEncoding, TruncatedBinaryStreamThrows) {
     ml::RandomForest loaded;
     EXPECT_THROW(loaded.load(truncated), ModelError) << "keep=" << keep;
   }
+}
+
+// A tree, node or forest count patched far past the stream's size must
+// fail as a truncation (ModelError), not as a count-sized allocation.
+TEST(BinaryModelEncoding, HostileCountsThrowModelError) {
+  constexpr std::uint64_t kHostile = std::uint64_t{1} << 40;
+  std::vector<std::vector<float>> rows;
+  const ml::RandomForest forest = trained_forest(4, 304, rows);
+  const auto expect_model_error = [](std::string bytes, const char* what) {
+    std::istringstream stream(std::move(bytes));
+    ml::RandomForest loaded;
+    EXPECT_THROW(loaded.load(stream), ModelError) << what;
+  };
+
+  std::ostringstream binary_out;
+  forest.save(binary_out, ml::ModelEncoding::kBinary);
+  const std::string binary = binary_out.str();
+  const std::size_t tree_count_at = binary.find('\n') + 1;
+  // Forest header: tree count, feature count; then the first tree's node
+  // count.
+  for (const std::size_t offset : {tree_count_at, tree_count_at + 16}) {
+    std::string patched = binary;
+    std::memcpy(patched.data() + offset, &kHostile, sizeof(kHostile));
+    expect_model_error(std::move(patched), "binary count patch");
+  }
+
+  std::ostringstream text_out;
+  forest.save(text_out, ml::ModelEncoding::kText);
+  const std::string text = text_out.str();
+  // Line 2 starts with the tree count, line 3 with the first node count.
+  const std::size_t line2 = text.find('\n') + 1;
+  const std::size_t line3 = text.find('\n', line2) + 1;
+  for (const std::size_t offset : {line2, line3}) {
+    std::string patched = text;
+    patched.replace(offset, text.find(' ', offset) - offset,
+                    std::to_string(kHostile));
+    expect_model_error(std::move(patched), "text count patch");
+  }
+
+  std::istringstream chain("classifier-chain " + std::to_string(kHostile) +
+                           "\n" + text);
+  ml::ClassifierChain classifier;
+  EXPECT_THROW(classifier.load(chain), ModelError);
 }
 
 TEST(BinaryModelEncoding, UnknownMagicThrows) {

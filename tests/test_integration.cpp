@@ -10,6 +10,7 @@
 #include "analysis/service.h"
 #include "analysis/wild.h"
 #include "ml/metrics.h"
+#include "ml/multilabel.h"
 #include "transform/transform.h"
 
 namespace jst::analysis {
@@ -110,14 +111,15 @@ TEST(Integration, Level2RecoversDominantTechniques) {
       const Sample sample = make_transformed_sample(base, technique, rng);
       const ScriptReport report = report_for(analyzer, sample.source);
       ASSERT_FALSE(report.parse_failed());
-      const auto top1 = analyzer.level2().predict_topk(
-          features::extract_from_source(
-              sample.source, analyzer.options().detector.features),
+      const auto top1 = ml::top_k_labels(
+          analyzer.level2().predict_proba(features::extract_from_source(
+              sample.source, analyzer.options().detector.features)),
           1);
       ASSERT_EQ(top1.size(), 1u);
       ++total;
       if (std::find(sample.techniques.begin(), sample.techniques.end(),
-                    top1[0]) != sample.techniques.end()) {
+                    static_cast<Technique>(top1[0])) !=
+          sample.techniques.end()) {
         ++top1_hits;
       }
     }

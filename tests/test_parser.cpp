@@ -134,13 +134,14 @@ TEST(Parser, OperatorPrecedence) {
   };
   for (const auto& [first, first_tier] : spec_tiers) {
     for (const auto& [second, second_tier] : spec_tiers) {
+      const std::string source = "a " + std::string(first) + " b " +
+                                 std::string(second) + " c;";
       // The spec forbids `??` beside `||`/`&&` without parentheses.
       if ((first == "??" && (second == "||" || second == "&&")) ||
           (second == "??" && (first == "||" || first == "&&"))) {
+        EXPECT_THROW(parse(source), ParseError) << source;
         continue;
       }
-      const std::string source = "a " + std::string(first) + " b " +
-                                 std::string(second) + " c;";
       const ParseResult pair = parse(source);
       const Node* top = pair.ast.root()->kids[0]->kids[0];
       const bool groups_left =
@@ -167,6 +168,29 @@ TEST(Parser, ExponentRightAssociative) {
   const Node* outer = assignment->kids[1];
   EXPECT_EQ(outer->str_value, "**");
   EXPECT_EQ(outer->kids[1]->str_value, "**");  // right side nests
+}
+
+TEST(Parser, CoalesceAndUnaryExponentNeedParentheses) {
+  for (const char* source :
+       {"x = a ?? b || c;", "x = a || b ?? c;", "x = a ?? b && c;",
+        "x = a && b ?? c;", "x = a ?? b ?? c || d;", "x = -a ** b;",
+        "x = typeof a ** b;", "x = a * !b ** c;",
+        "async function f() { return await a ** b; }"}) {
+    EXPECT_THROW(parse(source), ParseError) << source;
+  }
+  for (const char* source :
+       {"x = (a ?? b) || c;", "x = a ?? (b || c);", "x = (a && b) ?? c;",
+        "x = a ?? b ?? c;", "x = a ?? b | c;", "x = (-a) ** b;",
+        "x = a ** -b;", "x = ++a ** b;"}) {
+    EXPECT_NO_THROW(parse(source)) << source;
+  }
+  // `??` takes a bitwise-OR right operand.
+  const ParseResult result = parse("x = a ?? b | c;");
+  const Node* coalesce =
+      collect_kind(static_cast<const Node*>(result.ast.root()),
+                   NodeKind::kLogicalExpression)[0];
+  EXPECT_EQ(coalesce->str_value, "??");
+  EXPECT_EQ(coalesce->kids[1]->str_value, "|");
 }
 
 TEST(Parser, LogicalVsBinary) {
@@ -226,6 +250,7 @@ TEST(Parser, ObjectLiteralForms) {
   const auto properties = collect_kind(
       static_cast<const Node*>(result.ast.root()), NodeKind::kProperty);
   EXPECT_EQ(properties.size(), 8u);
+  EXPECT_THROW(parse("o = {[a]};"), ParseError);
 }
 
 TEST(Parser, ArrayWithHoles) {
@@ -273,6 +298,9 @@ TEST(Parser, DestructuringDeclarations) {
   EXPECT_EQ(count_kind(result, NodeKind::kArrayPattern), 1u);
   EXPECT_EQ(count_kind(result, NodeKind::kRestElement), 1u);
   EXPECT_EQ(count_kind(result, NodeKind::kAssignmentPattern), 1u);
+  // A computed key needs a value: `{[a]}` is no shorthand.
+  EXPECT_THROW(parse("let {[a]} = b;"), ParseError);
+  EXPECT_NO_THROW(parse("let {[a]: c} = b;"));
 }
 
 TEST(Parser, AutomaticSemicolonInsertion) {
