@@ -461,12 +461,12 @@ ScriptOutcome TransformationAnalyzer::analyze_outcome(
       record_outcome_metrics(outcome);
       return outcome;
     }
-    // The §III-D1 eligibility filter is an AST walk, so it belongs to the
+    // The §III-D1 eligibility filter is an AST scan, so it belongs to the
     // static-analysis stage; attributing it here keeps the per-stage times
     // a partition of total_ms (the BatchStats invariant in service.h).
     if (!size_eligible(source)) {
       outcome.status = ScriptStatus::kIneligibleSize;
-    } else if (!ast_eligible(analysis, &scratch.extract.eligibility_stack)) {
+    } else if (!ast_eligible(analysis)) {
       outcome.status = ScriptStatus::kIneligibleAst;
     } else {
       outcome.status = ScriptStatus::kOk;

@@ -128,8 +128,8 @@ struct ScriptOutcome {
 struct ScriptScratch {
   features::ExtractScratch extract;
   ml::PredictScratch predict;
-  // Pooled front-end arena: the lexer, token stream, and AST of every
-  // script this worker analyzes live here. parse_program resets it (not
+  // Pooled front-end arena: the lexer, token stream, and AST (with its
+  // pre-order index) of every script this worker analyzes live here. parse_program resets it (not
   // frees it) per script, so steady-state lex+parse reuses the same
   // chunks and allocates nothing. Reuse and footprint are reported via
   // jst_arena_reuse_total and jst_arena_peak_bytes.

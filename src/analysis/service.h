@@ -168,6 +168,9 @@ struct AnalyzeResponse {
 // aggregator asserts the invariant in debug builds. Only analyzed
 // requests (ResponseStatus::kOk) are counted: a rejected or unresolved
 // request never reaches the pipeline, so it contributes to no counter.
+// A cache hit counts in `total`, its status counter and `cache_hits`, but
+// not in the stage sums or total_script_ms: its stored timings describe
+// the analysis that filled the entry, not this batch's work.
 struct BatchStats {
   std::size_t total = 0;
   std::size_t ok = 0;
@@ -191,14 +194,16 @@ struct BatchStats {
   double static_analysis_ms = 0.0;
   double features_ms = 0.0;
   double inference_ms = 0.0;
-  // Per-script latency distribution (total_ms over all scripts in the
-  // batch). Percentiles are exact — computed from the full sample, not
-  // histogram buckets — so they are deterministic for any thread count.
-  double total_script_ms = 0.0;  // Σ per-script total_ms
+  // Per-script latency distribution over the served cost of every script
+  // in the batch (AnalyzeResponse::service_ms: the analysis for a miss or
+  // an uncached call, the lookup for a hit). Percentiles are exact —
+  // computed from the full sample, not histogram buckets.
+  double total_script_ms = 0.0;  // Σ per-script total_ms of analyzed scripts
   double p50_script_ms = 0.0;
   double p95_script_ms = 0.0;
   double p99_script_ms = 0.0;
   double max_script_ms = 0.0;  // slowest single script
+  std::size_t cache_hits = 0;  // scripts served from the result cache
 
   // Scripts quarantined by any ResourceLimits ceiling (hard or degraded).
   std::size_t budget_tripped() const {

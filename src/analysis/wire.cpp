@@ -179,6 +179,7 @@ void write_batch_stats(JsonWriter& writer, const BatchStats& stats) {
   writer.key("p95_script_ms"); writer.value(stats.p95_script_ms);
   writer.key("p99_script_ms"); writer.value(stats.p99_script_ms);
   writer.key("max_script_ms"); writer.value(stats.max_script_ms);
+  writer.key("cache_hits"); writer.value(stats.cache_hits);
   writer.end_object();
 }
 

@@ -31,6 +31,9 @@
 //        that pins "v":1 or "v":2 while carrying cache_mode is
 //        rejected; v1/v2 documents without the field parse exactly as
 //        before. ScriptOutcome / BatchStats bytes are unchanged.
+//   BatchStats later gained a trailing "cache_hits" field without a
+//   version bump: no request or response line carries BatchStats (only
+//   the BatchStats::to_json exports do), so the protocol is unchanged.
 #pragma once
 
 #include <cstdint>

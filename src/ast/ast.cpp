@@ -1,5 +1,6 @@
 #include "ast/ast.h"
 
+#include <algorithm>
 #include <new>
 #include <type_traits>
 
@@ -68,35 +69,6 @@ std::string_view node_kind_name(NodeKind kind) {
   return "Unknown";
 }
 
-bool Node::is_statement() const {
-  switch (kind) {
-    case NodeKind::kExpressionStatement:
-    case NodeKind::kBlockStatement:
-    case NodeKind::kVariableDeclaration:
-    case NodeKind::kFunctionDeclaration:
-    case NodeKind::kClassDeclaration:
-    case NodeKind::kReturnStatement:
-    case NodeKind::kIfStatement:
-    case NodeKind::kForStatement:
-    case NodeKind::kForInStatement:
-    case NodeKind::kForOfStatement:
-    case NodeKind::kWhileStatement:
-    case NodeKind::kDoWhileStatement:
-    case NodeKind::kSwitchStatement:
-    case NodeKind::kBreakStatement:
-    case NodeKind::kContinueStatement:
-    case NodeKind::kThrowStatement:
-    case NodeKind::kTryStatement:
-    case NodeKind::kLabeledStatement:
-    case NodeKind::kEmptyStatement:
-    case NodeKind::kDebuggerStatement:
-    case NodeKind::kWithStatement:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool Node::is_expression() const {
   switch (kind) {
     case NodeKind::kIdentifier:
@@ -126,12 +98,6 @@ bool Node::is_expression() const {
     default:
       return false;
   }
-}
-
-bool Node::is_function() const {
-  return kind == NodeKind::kFunctionDeclaration ||
-         kind == NodeKind::kFunctionExpression ||
-         kind == NodeKind::kArrowFunctionExpression;
 }
 
 bool Node::is_loop() const {
@@ -238,25 +204,74 @@ Node* Ast::clone(const Node* node) {
 std::size_t Ast::finalize() {
   node_count_ = 0;
   if (root_ == nullptr) return 0;
-  // Iterative pre-order traversal assigning ids and parents. The stack is
-  // arena-allocated (each node is pushed at most once, so allocated_
-  // bounds its growth); the transient block is reclaimed at the next
-  // arena reset, keeping finalize() heap-allocation-free.
-  Node** stack = arena_->alloc_array<Node*>(allocated_ + 1);
-  std::size_t depth = 0;
-  stack[depth++] = root_;
+  // A tree made by this Ast reaches at most allocated_ nodes, so
+  // allocated_ + 1 slots (one at least, for the root) hold its index; the
+  // growth check in the walk covers a tree holding another Ast's nodes.
+  std::size_t top = index_capacity_;
+  if (index_capacity_ < allocated_ + 1) {
+    grow_index(std::max(allocated_ + 1, 2 * index_capacity_), top);
+  }
+  // Iterative pre-order walk assigning ids and parents. Its pending stack
+  // lives in the tail of the node/depth arrays, [top, capacity), while the
+  // index is written from the front: written + pending never exceeds the
+  // reachable count, so the two regions cannot meet and finalize() needs
+  // no storage beyond the index itself.
+  --top;
+  index_nodes_[top] = root_;
+  index_depths_[top] = 1;
   root_->parent = nullptr;
-  while (depth > 0) {
-    Node* node = stack[--depth];
-    node->id = static_cast<std::uint32_t>(node_count_++);
+  while (top < index_capacity_) {
+    Node* node = index_nodes_[top];
+    const std::uint32_t depth = index_depths_[top];
+    ++top;
+    const std::size_t id = node_count_++;
+    node->id = static_cast<std::uint32_t>(id);
+    index_nodes_[id] = node;
+    index_depths_[id] = depth;
+    index_kinds_[id] = node->kind;
+    if (node->kids.size() > top - node_count_) {
+      grow_index(2 * index_capacity_ + node->kids.size(), top);
+    }
     for (auto it = node->kids.rbegin(); it != node->kids.rend(); ++it) {
       if (*it != nullptr) {
         (*it)->parent = node;
-        stack[depth++] = *it;
+        --top;
+        index_nodes_[top] = *it;
+        index_depths_[top] = depth + 1;
       }
     }
   }
+  // Subtree ends, last id first: a node's subtree ends at the first later
+  // node no deeper than itself, reached by hopping over each child's
+  // already-known subtree (one hop per child, so linear overall).
+  for (std::size_t id = node_count_; id-- > 0;) {
+    std::size_t next = id + 1;
+    while (next < node_count_ && index_depths_[next] > index_depths_[id]) {
+      next = index_ends_[next];
+    }
+    index_ends_[id] = static_cast<std::uint32_t>(next);
+  }
   return node_count_;
+}
+
+void Ast::grow_index(std::size_t capacity, std::size_t& top) {
+  NodeKind* kinds = arena_->alloc_array<NodeKind>(capacity);
+  std::uint32_t* ends = arena_->alloc_array<std::uint32_t>(capacity);
+  std::uint32_t* depths = arena_->alloc_array<std::uint32_t>(capacity);
+  Node** nodes = arena_->alloc_array<Node*>(capacity);
+  std::copy_n(index_kinds_, node_count_, kinds);
+  std::copy_n(index_depths_, node_count_, depths);
+  std::copy_n(index_nodes_, node_count_, nodes);
+  const std::size_t pending = index_capacity_ - top;
+  const std::size_t new_top = capacity - pending;
+  std::copy_n(index_depths_ + top, pending, depths + new_top);
+  std::copy_n(index_nodes_ + top, pending, nodes + new_top);
+  index_kinds_ = kinds;
+  index_ends_ = ends;
+  index_depths_ = depths;
+  index_nodes_ = nodes;
+  index_capacity_ = capacity;
+  top = new_top;
 }
 
 }  // namespace jst

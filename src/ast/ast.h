@@ -12,6 +12,7 @@
 #include <initializer_list>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -104,6 +105,44 @@ enum class LiteralKind : std::uint8_t {
 };
 
 std::string_view node_kind_name(NodeKind kind);
+
+// Kind classifiers, usable on an index's kind bytes without touching the
+// Node (Node::is_statement()/is_function() forward here).
+constexpr bool is_statement(NodeKind kind) {
+  switch (kind) {
+    case NodeKind::kExpressionStatement:
+    case NodeKind::kBlockStatement:
+    case NodeKind::kVariableDeclaration:
+    case NodeKind::kFunctionDeclaration:
+    case NodeKind::kClassDeclaration:
+    case NodeKind::kReturnStatement:
+    case NodeKind::kIfStatement:
+    case NodeKind::kForStatement:
+    case NodeKind::kForInStatement:
+    case NodeKind::kForOfStatement:
+    case NodeKind::kWhileStatement:
+    case NodeKind::kDoWhileStatement:
+    case NodeKind::kSwitchStatement:
+    case NodeKind::kBreakStatement:
+    case NodeKind::kContinueStatement:
+    case NodeKind::kThrowStatement:
+    case NodeKind::kTryStatement:
+    case NodeKind::kLabeledStatement:
+    case NodeKind::kEmptyStatement:
+    case NodeKind::kDebuggerStatement:
+    case NodeKind::kWithStatement:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Declaration, expression, or arrow.
+constexpr bool is_function(NodeKind kind) {
+  return kind == NodeKind::kFunctionDeclaration ||
+         kind == NodeKind::kFunctionExpression ||
+         kind == NodeKind::kArrowFunctionExpression;
+}
 
 struct Node;
 
@@ -250,9 +289,9 @@ struct Node {
   std::uint32_t atom = 0xffffffffu;
   Node* parent = nullptr;
 
-  bool is_statement() const;
+  bool is_statement() const { return jst::is_statement(kind); }
   bool is_expression() const;
-  bool is_function() const;   // declaration, expression, or arrow
+  bool is_function() const { return jst::is_function(kind); }
   bool is_loop() const;
 
   // Convenience accessors (bounds-checked; nullptr for missing optionals).
@@ -329,9 +368,30 @@ class Ast {
   // detaches it before returning.
   void set_budget(Budget* budget) { budget_ = budget; }
 
-  // Assigns pre-order ids and parent pointers from the root; returns the
-  // number of reachable nodes.
+  // Assigns pre-order ids and parent pointers from the root and lays out
+  // the pre-order index below; returns the number of reachable nodes.
   std::size_t finalize();
+
+  // Pre-order index (DESIGN.md §12), one entry per reachable node in id
+  // order: the kind byte, one past the id of the subtree's last node
+  // (`ends[id] - id` is the subtree size, so `id = ends[id]` jumps over
+  // it), the depth (root = 1), and the Node itself. Post-parse passes
+  // scan these arrays instead of re-walking kid pointers. The arrays live
+  // in the arena and carry Node::id's contract: valid from finalize()
+  // until the next structural mutation; re-finalizing rewrites them in
+  // place when the capacity suffices. Empty until the first finalize().
+  std::span<const NodeKind> kinds() const {
+    return {index_kinds_, node_count_};
+  }
+  std::span<const std::uint32_t> ends() const {
+    return {index_ends_, node_count_};
+  }
+  std::span<const std::uint32_t> depths() const {
+    return {index_depths_, node_count_};
+  }
+  std::span<const Node* const> nodes() const {
+    return {static_cast<const Node* const*>(index_nodes_), node_count_};
+  }
 
   // Number of nodes allocated in the arena (including detached ones).
   std::size_t allocated() const { return allocated_; }
@@ -339,6 +399,11 @@ class Ast {
   std::size_t node_count() const { return node_count_; }
 
  private:
+  // Reallocates the index arrays at `capacity` slots, keeping finalize()'s
+  // written prefix [0, node_count_) and its pending stack [top, old
+  // capacity), which moves to the new tail; `top` is updated.
+  void grow_index(std::size_t capacity, std::size_t& top);
+
   std::unique_ptr<support::Arena> owned_arena_;  // null when pooled
   support::Arena* arena_ = nullptr;
   std::unique_ptr<support::AtomTable> owned_atoms_;  // null when pooled
@@ -347,6 +412,12 @@ class Ast {
   std::size_t allocated_ = 0;
   std::size_t node_count_ = 0;
   Budget* budget_ = nullptr;
+  // Pre-order index storage (arena); index_capacity_ slots each.
+  NodeKind* index_kinds_ = nullptr;
+  std::uint32_t* index_ends_ = nullptr;
+  std::uint32_t* index_depths_ = nullptr;
+  Node** index_nodes_ = nullptr;
+  std::size_t index_capacity_ = 0;
 };
 
 }  // namespace jst

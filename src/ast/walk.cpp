@@ -3,6 +3,26 @@
 #include <algorithm>
 
 namespace jst {
+namespace {
+
+// Pre-order visit carrying the node's depth (root = 1); children are
+// visited in source order, like for_each_preorder.
+template <typename Visitor>
+void for_each_preorder_depth(const Node* root, Visitor&& visit) {
+  if (root == nullptr) return;
+  std::vector<std::pair<const Node*, std::size_t>> stack;
+  stack.emplace_back(root, std::size_t{1});
+  while (!stack.empty()) {
+    const auto [node, depth] = stack.back();
+    stack.pop_back();
+    visit(*node, depth);
+    for (auto it = node->kids.rbegin(); it != node->kids.rend(); ++it) {
+      if (*it != nullptr) stack.emplace_back(*it, depth + 1);
+    }
+  }
+}
+
+}  // namespace
 
 void walk_preorder(Node* root, const std::function<void(Node&)>& visit) {
   for_each_preorder(root, [&visit](Node& node) { visit(node); });
@@ -39,20 +59,17 @@ std::vector<NodeKind> preorder_kinds(const Node* root) {
 std::size_t tree_depth(const Node* root) {
   if (root == nullptr) return 0;
   std::size_t max_depth = 0;
-  std::vector<std::pair<const Node*, std::size_t>> stack;
-  for_each_preorder_depth(root, stack,
-                          [&max_depth](const Node&, std::size_t depth) {
-                            max_depth = std::max(max_depth, depth);
-                          });
+  for_each_preorder_depth(root, [&max_depth](const Node&, std::size_t depth) {
+    max_depth = std::max(max_depth, depth);
+  });
   return max_depth;
 }
 
 std::size_t tree_breadth(const Node* root) {
   if (root == nullptr) return 0;
   std::vector<std::size_t> level_counts;
-  std::vector<std::pair<const Node*, std::size_t>> stack;
   for_each_preorder_depth(
-      root, stack, [&level_counts](const Node&, std::size_t depth) {
+      root, [&level_counts](const Node&, std::size_t depth) {
         const std::size_t level = depth - 1;
         if (level >= level_counts.size()) level_counts.resize(level + 1, 0);
         ++level_counts[level];

@@ -1,12 +1,13 @@
-// Tree traversal utilities.
+// Tree traversal utilities for trees whose pre-order index is not current
+// (transformers mid-mutation) and for tests and oracles. The analysis
+// passes over a finalized tree scan Ast::kinds()/ends()/depths()/nodes()
+// instead (DESIGN.md §12).
 //
 // Two tiers: the `std::function` walkers below are the flexible entry
-// points used by cold paths (transformers, eligibility checks, tests);
-// the `for_each_preorder` templates are the hot-path tier — the visitor
-// inlines into the traversal loop, so per-node cost is a stack push/pop
-// instead of a type-erased indirect call. Both visit the same nodes in
-// the same order; the `std::function` overloads are implemented on top
-// of the templates.
+// points; the `for_each_preorder` template inlines the visitor into the
+// traversal loop, so per-node cost is a stack push/pop instead of a
+// type-erased indirect call. Both visit the same nodes in the same order;
+// the `std::function` overloads are implemented on top of the template.
 #pragma once
 
 #include <functional>
@@ -30,27 +31,6 @@ inline void for_each_preorder(NodeT* root, Visitor&& visit) {
     visit(*node);
     for (auto it = node->kids.rbegin(); it != node->kids.rend(); ++it) {
       if (*it != nullptr) stack.push_back(*it);
-    }
-  }
-}
-
-// Pre-order visit carrying the node's depth (root = 1). Children are
-// visited in source order, like for_each_preorder. The caller may pass
-// its own stack storage to reuse capacity across trees (cleared on
-// entry); this is what the fused feature extractor does per script.
-template <typename Visitor>
-inline void for_each_preorder_depth(
-    const Node* root, std::vector<std::pair<const Node*, std::size_t>>& stack,
-    Visitor&& visit) {
-  stack.clear();
-  if (root == nullptr) return;
-  stack.emplace_back(root, std::size_t{1});
-  while (!stack.empty()) {
-    const auto [node, depth] = stack.back();
-    stack.pop_back();
-    visit(*node, depth);
-    for (auto it = node->kids.rbegin(); it != node->kids.rend(); ++it) {
-      if (*it != nullptr) stack.emplace_back(*it, depth + 1);
     }
   }
 }

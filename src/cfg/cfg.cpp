@@ -1,6 +1,7 @@
 #include "cfg/cfg.h"
 
 #include <algorithm>
+#include <span>
 #include <string_view>
 
 namespace jst {
@@ -30,46 +31,41 @@ constexpr std::uint32_t kNone = 0xffffffffu;
 // CSR adjacency into the sorted, deduplicated public list.
 class CfgBuilder {
  public:
-  CfgBuilder(Budget* budget, CfgScratch& ws) : budget_(budget), ws_(ws) {}
+  CfgBuilder(const Ast& ast, Budget* budget, CfgScratch& ws)
+      : kinds_(ast.kinds()),
+        ends_(ast.ends()),
+        nodes_(ast.nodes()),
+        budget_(budget),
+        ws_(ws) {}
 
-  void build(const Node* root, std::size_t node_count, ControlFlow& out) {
+  void build(const Node* root, ControlFlow& out) {
     ws_.edges.clear();
     ws_.exits.clear();
-    ws_.cond_stack.clear();
     ws_.breakables.clear();
     ws_.break_links.clear();
-    ws_.func_stack.clear();
     if (root != nullptr) {
       visit_body(root->kids, *root);
       ws_.exits.clear();
-      // Nested functions get their own sub-graphs: one explicit pre-order
-      // sweep finds every function node (the statement walk above never
-      // descends into them), and each block body is visited with the
-      // breakable stack floored so enclosing loop/switch targets are
-      // invisible inside the function.
-      std::vector<const Node*>& stack = ws_.func_stack;
-      stack.push_back(root);
-      while (!stack.empty()) {
-        const Node* node = stack.back();
-        stack.pop_back();
-        if (node->is_function()) {
-          const Node* body = function_body(*node);
-          if (body != nullptr && body->kind == NodeKind::kBlockStatement) {
-            const std::size_t saved_floor = breakable_floor_;
-            breakable_floor_ = ws_.breakables.size();
-            visit_body(body->kids, *body);
-            ws_.exits.clear();
-            breakable_floor_ = saved_floor;
-          }
-          // Expression-bodied arrows have conditional-expression nodes
-          // only.
+      // Nested functions get their own sub-graphs: a scan of the index's
+      // kinds finds every function node in pre-order (the statement walk
+      // above never descends into them), and each block body is visited
+      // with the breakable stack floored so enclosing loop/switch targets
+      // are invisible inside the function.
+      for (std::size_t id = 0; id < kinds_.size(); ++id) {
+        if (!is_function(kinds_[id])) continue;
+        const Node* body = function_body(*nodes_[id]);
+        // Expression-bodied arrows have conditional-expression nodes only.
+        if (body == nullptr || body->kind != NodeKind::kBlockStatement) {
+          continue;
         }
-        for (std::size_t i = node->kids.size(); i > 0; --i) {
-          if (node->kids[i - 1] != nullptr) stack.push_back(node->kids[i - 1]);
-        }
+        const std::size_t saved_floor = breakable_floor_;
+        breakable_floor_ = ws_.breakables.size();
+        visit_body(body->kids, *body);
+        ws_.exits.clear();
+        breakable_floor_ = saved_floor;
       }
     }
-    finalize(node_count, out);
+    finalize(kinds_.size(), out);
   }
 
  private:
@@ -96,34 +92,29 @@ class CfgBuilder {
   }
 
   // Adds statement -> ConditionalExpression edges for every conditional
-  // expression syntactically inside `statement` (not crossing function
-  // boundaries), plus nesting edges between conditionals.
+  // expression syntactically inside `statement`, plus nesting edges
+  // between conditionals. A range scan over the statement's ids that
+  // jumps over nested statements, switch cases and catch clauses (those
+  // are visited on their own) and over functions (separate sub-graphs);
+  // a conditional's source is the innermost open conditional whose
+  // subtree still covers the scan position, else the statement.
   void link_conditional_expressions(const Node& statement) {
-    // Manual stack walk that stops at nested functions and nested
-    // statements (those are visited on their own).
-    std::vector<std::pair<const Node*, const Node*>>& stack = ws_.cond_stack;
-    const std::size_t base = stack.size();
-    for (const Node* kid : statement.kids) {
-      if (kid != nullptr && !kid->is_statement() &&
-          kid->kind != NodeKind::kSwitchCase &&
-          kid->kind != NodeKind::kCatchClause) {
-        stack.emplace_back(kid, &statement);
+    std::vector<std::uint32_t>& open = ws_.open_conditionals;
+    open.clear();
+    const std::uint32_t end = ends_[statement.id];
+    for (std::uint32_t id = statement.id + 1; id < end;) {
+      const NodeKind kind = kinds_[id];
+      if (is_statement(kind) || is_function(kind) ||
+          kind == NodeKind::kSwitchCase || kind == NodeKind::kCatchClause) {
+        id = ends_[id];
+        continue;
       }
-    }
-    while (stack.size() > base) {
-      const auto [node, cfg_parent] = stack.back();
-      stack.pop_back();
-      const Node* next_parent = cfg_parent;
-      if (node->kind == NodeKind::kConditionalExpression) {
-        edge(cfg_parent, node);
-        next_parent = node;
+      if (kind == NodeKind::kConditionalExpression) {
+        while (!open.empty() && ends_[open.back()] <= id) open.pop_back();
+        edge(open.empty() ? &statement : nodes_[open.back()], nodes_[id]);
+        open.push_back(id);
       }
-      if (node->is_function()) continue;  // separate sub-graph
-      for (const Node* kid : node->kids) {
-        if (kid != nullptr && !kid->is_statement()) {
-          stack.emplace_back(kid, next_parent);
-        }
-      }
+      ++id;
     }
   }
 
@@ -410,6 +401,9 @@ class CfgBuilder {
     CfgBuildAccess::set_counts(out, branches, backs);
   }
 
+  std::span<const NodeKind> kinds_;
+  std::span<const std::uint32_t> ends_;
+  std::span<const Node* const> nodes_;
   Budget* budget_ = nullptr;
   CfgScratch& ws_;
   // Breakables below the floor belong to an enclosing function and are
@@ -425,8 +419,8 @@ ControlFlow build_control_flow(const Ast& ast, Budget* budget,
   ControlFlow flow;
   CfgScratch local_scratch;
   CfgScratch& workspace = scratch != nullptr ? *scratch : local_scratch;
-  CfgBuilder builder(budget, workspace);
-  builder.build(ast.root(), ast.node_count(), flow);
+  CfgBuilder builder(ast, budget, workspace);
+  builder.build(ast.root(), flow);
   return flow;
 }
 

@@ -42,10 +42,12 @@ struct ControlFlow {
 };
 
 // Reusable builder workspace: the raw (unsorted) edge list, the shared
-// exits/conditional/breakable stacks the statement walk runs on, and the
-// CSR arrays the edge list is finalized through. Capacity survives across
-// scripts; steady-state CFG builds allocate only the returned edge
-// vector.
+// exits/breakable stacks the statement walk runs on, the enclosing
+// conditionals of the conditional-expression scan, and the CSR arrays the
+// edge list is finalized through. Node discovery scans the AST's
+// pre-order index (Ast::kinds()/ends()), so no traversal stack lives
+// here. Capacity survives across scripts; steady-state CFG builds
+// allocate only the returned edge vector.
 struct CfgScratch {
   // One break/continue target on the breakable stack. `label` views the
   // AST arena; `sink_head`/`sink_tail` chain this target's recorded break
@@ -65,12 +67,12 @@ struct CfgScratch {
   // Shared exits stack: each statement's fall-through exits are a
   // segment on top; callers mark/consume/truncate.
   std::vector<const Node*> exits;
-  // (node, nearest cfg parent) stack for conditional-expression linking.
-  std::vector<std::pair<const Node*, const Node*>> cond_stack;
+  // Ids of the ConditionalExpressions enclosing the conditional scan's
+  // position (the sources of its nesting edges); bounded by conditional
+  // nesting, not by the tree.
+  std::vector<std::uint32_t> open_conditionals;
   std::vector<Breakable> breakables;
   std::vector<BreakLink> break_links;
-  // Nested-function discovery stack.
-  std::vector<const Node*> func_stack;
   // CSR finalization: per-row cursors/offsets and the column array.
   std::vector<std::uint32_t> row_offsets;
   std::vector<std::uint32_t> col;
@@ -78,17 +80,16 @@ struct CfgScratch {
   std::size_t capacity_bytes() const {
     return edges.capacity() * sizeof(edges[0]) +
            exits.capacity() * sizeof(const Node*) +
-           cond_stack.capacity() * sizeof(cond_stack[0]) +
+           open_conditionals.capacity() * sizeof(std::uint32_t) +
            breakables.capacity() * sizeof(Breakable) +
            break_links.capacity() * sizeof(BreakLink) +
-           func_stack.capacity() * sizeof(const Node*) +
            row_offsets.capacity() * sizeof(std::uint32_t) +
            col.capacity() * sizeof(std::uint32_t);
   }
 };
 
 // Builds the control-flow edges for a finalized AST. The AST must have had
-// Ast::finalize() called (ids and parents assigned). A non-null `budget`
+// Ast::finalize() called (ids, parents and the pre-order index). A non-null `budget`
 // is polled for the wall-clock deadline while edges are emitted; a passed
 // deadline throws BudgetExceeded. `scratch`, when non-null, is the
 // reusable workspace above; nullptr allocates per call.

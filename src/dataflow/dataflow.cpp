@@ -34,7 +34,13 @@ class DataFlowBuilder {
  public:
   DataFlowBuilder(const Ast& ast, DataFlow& out, Budget* budget,
                   DataFlowScratch& ws)
-      : ast_(ast), out_(out), budget_(budget), ws_(ws) {}
+      : ast_(ast),
+        kinds_(ast.kinds()),
+        ends_(ast.ends()),
+        nodes_(ast.nodes()),
+        out_(out),
+        budget_(budget),
+        ws_(ws) {}
 
   void run(const Node* root) {
     if (root == nullptr) return;
@@ -42,8 +48,6 @@ class DataFlowBuilder {
     ws_.aux.clear();
     ws_.bind_log.clear();
     ws_.site_links.clear();
-    ws_.spine.clear();
-    ws_.hoist_stack.clear();
     ws_.atom_tops.assign(ast_.atoms().size(), kNone);
 
     open_scope();  // global
@@ -186,43 +190,40 @@ class DataFlowBuilder {
 
   // Hoists `var` declarators and function declarations from the subtree
   // into the (currently innermost) function scope, without descending
-  // into nested functions. Iterative pre-order with pruning: deep
-  // expression chains make the subtree arbitrarily deep (the parser's
-  // recursion guard only bounds nested statements), so per-node recursion
-  // would overflow the native stack on hostile inputs. The explicit stack
-  // visits every descendant in exactly the order the recursive version
-  // did, so bindings are created in the same order and get the same
-  // indices.
+  // into nested functions: a pre-order scan of the subtree's ids that
+  // jumps over every nested function (a FunctionDeclaration binds its
+  // name first). Expression chains make the subtree arbitrarily deep, and
+  // the scan needs no stack or recursion for them; it meets the
+  // declarations in pre-order, so bindings get the same indices as in a
+  // tree walk.
   void hoist_into_function_scope(const Node* node) {
     if (node == nullptr) return;
-    std::vector<const Node*>& stack = ws_.hoist_stack;
-    const std::size_t base = stack.size();  // re-entered via visit_function
-    for (std::size_t i = node->kids.size(); i > 0; --i) {
-      if (node->kids[i - 1] != nullptr) stack.push_back(node->kids[i - 1]);
-    }
-    while (stack.size() > base) {
-      const Node* kid = stack.back();
-      stack.pop_back();
-      if (kid->kind == NodeKind::kFunctionDeclaration) {
-        if (kid->kid(0) != nullptr) {
-          const std::size_t index = bind(kid->kids[0]);
+    const std::uint32_t end = ends_[node->id];
+    for (std::uint32_t id = node->id + 1; id < end;) {
+      const NodeKind kind = kinds_[id];
+      if (kind == NodeKind::kFunctionDeclaration) {
+        const Node* function = nodes_[id];
+        if (function->kid(0) != nullptr) {
+          const std::size_t index = bind(function->kids[0]);
           out_.bindings[index].is_function_name = true;
-          out_.bindings[index].init = kid;
+          out_.bindings[index].init = function;
         }
-        continue;  // do not hoist through the nested function
       }
-      if (kid->is_function()) continue;
-      if (kid->kind == NodeKind::kVariableDeclaration &&
-          kid->str_value == "var") {
-        for (const Node* declarator : kid->kids) {
-          bind_pattern(declarator->kid(0), false);
+      if (is_function(kind)) {
+        id = ends_[id];
+        continue;
+      }
+      if (kind == NodeKind::kVariableDeclaration) {
+        const Node* declaration = nodes_[id];
+        if (declaration->str_value == "var") {
+          for (const Node* declarator : declaration->kids) {
+            bind_pattern(declarator->kid(0), false);
+          }
         }
-        // Initializers may contain more nested statements (rare); fall
-        // through to descend into the declarators.
+        // Initializers may contain more nested statements (rare); the
+        // scan descends into the declarators.
       }
-      for (std::size_t i = kid->kids.size(); i > 0; --i) {
-        if (kid->kids[i - 1] != nullptr) stack.push_back(kid->kids[i - 1]);
-      }
+      ++id;
     }
   }
 
@@ -355,57 +356,57 @@ class DataFlowBuilder {
     close_scope();
   }
 
-  void push_kid(const Node* node) {
-    if (node != nullptr) ws_.spine.push_back(node);
-  }
-
-  // Pushes `node`'s kids so they pop in source order.
-  void push_kids_of(const Node* node) {
-    for (std::size_t i = node->kids.size(); i > 0; --i) {
-      push_kid(node->kids[i - 1]);
-    }
-  }
-
-  // Iterative driver: expression chains (binary, call/member, sequence)
-  // are parsed iteratively, so their AST depth is NOT bounded by the
-  // parser's nesting recursion guard — a hostile 10k-term `[]+[]+...`
-  // blob must not overflow the native stack here. Same-scope descent
-  // therefore goes through an explicit spine stack; only scope-opening
-  // and binding constructs (functions, blocks, loops, catch, switch —
-  // forms the parser can only nest through its depth-guarded recursion)
-  // re-enter visit() and consume native frames. A re-entrant call drains
-  // its own segment of the shared stack (everything above `base`), which
-  // preserves the exact pre-order visitation — and budget-poll order —
-  // of the recursive implementation it replaced. Spine entries need no
-  // scope tag: a deferred node is popped only after every scope opened
-  // since it was pushed has closed again, so the current scope at pop
-  // time is exactly the scope it was pushed under.
+  // Visits the subtree at `node` in pre-order, resolving references in
+  // the current scope: a scan of the subtree's ids, where step() handles
+  // one node and returns the next id to visit. Expression chains (binary,
+  // call/member, sequence) are parsed iteratively, so their AST depth is
+  // NOT bounded by the parser's nesting recursion guard — a hostile
+  // `[]+[]+...` blob must not overflow the native stack — and the scan
+  // walks them without recursion. Same-scope kinds descend to `id + 1`
+  // or skip to the one kid they resolve; only scope-opening and binding
+  // constructs (functions, blocks, loops, catch, switch — forms the
+  // parser can only nest through its depth-guarded recursion) re-enter
+  // visit() for their parts and then jump past their subtree. The
+  // visitation (and deadline-poll) order is the pre-order of the visited
+  // nodes.
   void visit(const Node* node) {
-    const std::size_t base = ws_.spine.size();
-    push_kid(node);
-    while (ws_.spine.size() > base) {
-      if (aborted_) {
-        ws_.spine.resize(base);
-        return;
-      }
-      const Node* next = ws_.spine.back();
-      ws_.spine.pop_back();
-      step(next);
-    }
+    if (node == nullptr) return;
+    const std::uint32_t end = ends_[node->id];
+    for (std::uint32_t id = node->id; id < end && !aborted_;) id = step(id);
   }
 
-  // Handles one node; same-scope subtrees are pushed, not recursed.
-  void step(const Node* node) {
+  // The property of a non-computed member expression (`a.b`'s `b`, always
+  // an Identifier) names no binding; the visit passes over it.
+  static bool is_static_member_property(const Node& identifier) {
+    const Node* parent = identifier.parent;
+    return parent != nullptr && parent->kind == NodeKind::kMemberExpression &&
+           !parent->flag_a && parent->kid(1) == &identifier;
+  }
+
+  // Where the visit goes on after node `id` when its last kid `kid` is
+  // the only part still to visit: `kid`'s subtree (which ends where the
+  // node's does), or past the node when the kid is absent.
+  std::uint32_t resume_at(const Node* kid, std::uint32_t id) const {
+    return kid != nullptr ? kid->id : ends_[id];
+  }
+
+  // Handles node `id` and returns the next id to visit.
+  std::uint32_t step(std::uint32_t id) {
+    const Node* node = nodes_[id];
+    if (kinds_[id] == NodeKind::kIdentifier &&
+        is_static_member_property(*node)) {
+      return id + 1;
+    }
     if (budget_ != nullptr &&
         ++visits_ % Budget::kDeadlinePollStride == 0 &&
         budget_->deadline_expired()) {
       abort_with(ResourceKind::kDeadline);
-      return;
+      return id;
     }
-    switch (node->kind) {
+    switch (kinds_[id]) {
       case NodeKind::kIdentifier:
         record_use(node);
-        break;
+        return id + 1;
 
       case NodeKind::kBlockStatement:
         visit_block_like(node);
@@ -415,23 +416,24 @@ class DataFlowBuilder {
         for (const Node* declarator : node->kids) {
           // Binding was established during hoisting/lexical collection;
           // here we attach the initializer and resolve it.
-          const Node* id = declarator->kid(0);
+          const Node* id_node = declarator->kid(0);
           const Node* init = declarator->kid(1);
-          if (id != nullptr && id->kind == NodeKind::kIdentifier) {
-            const std::uint32_t index = resolve(id);
+          if (id_node != nullptr && id_node->kind == NodeKind::kIdentifier) {
+            const std::uint32_t index = resolve(id_node);
             if (index != kNone) {
               Binding& binding = out_.bindings[index];
               if (binding.init == nullptr) binding.init = init;
               // Redeclarations (`var x` appearing twice) share one binding;
               // record the extra declarator identifiers as write sites so
               // renaming and def-use edges cover them.
-              if (binding.declaration != id) {
+              if (binding.declaration != id_node) {
                 DataFlowScratch::BindingAux& aux = ws_.aux[index];
-                append_site(aux.asg_head, aux.asg_tail, aux.asg_count, id);
+                append_site(aux.asg_head, aux.asg_tail, aux.asg_count,
+                            id_node);
               }
             }
           } else {
-            visit_pattern_defaults(id);
+            visit_pattern_defaults(id_node);
           }
           visit(init);
         }
@@ -468,12 +470,6 @@ class DataFlowBuilder {
         break;
       }
 
-      case NodeKind::kTryStatement:
-        push_kid(node->kid(2));
-        push_kid(node->kid(1));  // CatchClause handled above
-        push_kid(node->kid(0));
-        break;
-
       case NodeKind::kForStatement: {
         open_scope();
         const Node* init = node->kid(0);
@@ -503,10 +499,11 @@ class DataFlowBuilder {
             }
           }
           // Loop variable is written each iteration.
-          const Node* id = left->kid(0) != nullptr ? left->kids[0]->kid(0)
-                                                   : nullptr;
-          if (id != nullptr && id->kind == NodeKind::kIdentifier) {
-            record_write(id);
+          const Node* id_node = left->kid(0) != nullptr
+                                    ? left->kids[0]->kid(0)
+                                    : nullptr;
+          if (id_node != nullptr && id_node->kind == NodeKind::kIdentifier) {
+            record_write(id_node);
           }
         } else {
           visit_target(left);
@@ -524,8 +521,7 @@ class DataFlowBuilder {
             target->kind == NodeKind::kIdentifier) {
           record_use(target);  // compound assignment also reads
         }
-        push_kid(node->kid(1));
-        break;
+        return resume_at(node->kid(1), id);
       }
 
       case NodeKind::kUpdateExpression: {
@@ -533,21 +529,15 @@ class DataFlowBuilder {
         if (argument != nullptr && argument->kind == NodeKind::kIdentifier) {
           record_use(argument);
           record_write(argument);
-        } else {
-          push_kid(argument);
+          break;
         }
-        break;
+        return id + 1;
       }
 
-      case NodeKind::kMemberExpression:
-        if (node->flag_a) push_kid(node->kid(1));  // computed only
-        push_kid(node->kid(0));
-        break;
-
       case NodeKind::kProperty:
-        push_kid(node->kid(1));
-        if (node->flag_a) push_kid(node->kid(0));  // computed key
-        break;
+        // A non-computed key names no binding.
+        if (node->flag_a) return id + 1;
+        return resume_at(node->kid(1), id);
 
       case NodeKind::kMethodDefinition:
         if (node->flag_a) visit(node->kid(0));
@@ -555,8 +545,8 @@ class DataFlowBuilder {
         break;
 
       case NodeKind::kLabeledStatement:
-        push_kid(node->kid(1));  // label identifier is not a reference
-        break;
+        // The label identifier is not a reference.
+        return resume_at(node->kid(1), id);
 
       case NodeKind::kBreakStatement:
       case NodeKind::kContinueStatement:
@@ -582,8 +572,10 @@ class DataFlowBuilder {
       }
 
       default:
-        push_kids_of(node);
+        // Every kid, in order (a computed member's property included).
+        return id + 1;
     }
+    return ends_[id];
   }
 
   // --- results -----------------------------------------------------------
@@ -673,6 +665,9 @@ class DataFlowBuilder {
 
  private:
   const Ast& ast_;
+  std::span<const NodeKind> kinds_;
+  std::span<const std::uint32_t> ends_;
+  std::span<const Node* const> nodes_;
   DataFlow& out_;
   Budget* budget_ = nullptr;
   DataFlowScratch& ws_;

@@ -80,11 +80,12 @@ struct DataFlow {
   std::size_t edge_count() const { return edges.size(); }
 };
 
-// Reusable builder workspace: every flat table the pass traverses with —
+// Reusable builder workspace: every flat table the pass resolves with —
 // scope records, the per-atom binding stacks and their unwind log, the
-// chained site links and the packed span storage, and the iterative
-// walker stacks. Capacity survives across scripts (features/scratch.h),
-// making steady-state builds allocation-free up to the returned DataFlow.
+// chained site links and the packed span storage. The traversal itself
+// scans the AST's pre-order index, so no walker stack lives here.
+// Capacity survives across scripts (features/scratch.h), making
+// steady-state builds allocation-free up to the returned DataFlow.
 struct DataFlowScratch {
   // One lexical scope: parent index and the unwind mark into `bind_log`
   // (bindings pushed since the scope opened; popped on close).
@@ -117,9 +118,6 @@ struct DataFlowScratch {
   std::vector<SiteLink> site_links;
   // Packed span storage the returned bindings point into (scratch runs).
   std::vector<const Node*> sites;
-  // Iterative walker stacks (same-scope spine, hoisting DFS).
-  std::vector<const Node*> spine;
-  std::vector<const Node*> hoist_stack;
 
   std::size_t capacity_bytes() const {
     return scopes.capacity() * sizeof(ScopeRec) +
@@ -127,9 +125,7 @@ struct DataFlowScratch {
            atom_tops.capacity() * sizeof(std::uint32_t) +
            bind_log.capacity() * sizeof(std::uint32_t) +
            site_links.capacity() * sizeof(SiteLink) +
-           sites.capacity() * sizeof(const Node*) +
-           spine.capacity() * sizeof(const Node*) +
-           hoist_stack.capacity() * sizeof(const Node*);
+           sites.capacity() * sizeof(const Node*);
   }
 };
 
@@ -146,7 +142,7 @@ struct DataFlowOptions {
   DataFlowScratch* scratch = nullptr;
 };
 
-// Requires a finalized AST.
+// Requires a finalized AST (ids, parents and the pre-order index).
 DataFlow build_data_flow(const Ast& ast, const DataFlowOptions& options = {});
 
 }  // namespace jst

@@ -1,6 +1,5 @@
 #include "features/analysis_pipeline.h"
 
-#include "ast/walk.h"
 #include "obs/trace.h"
 
 namespace jst {
@@ -33,18 +32,18 @@ bool size_eligible(std::string_view source) {
 }
 
 bool script_eligible(const ScriptAnalysis& analysis,
-                     std::vector<const Node*>* walk_stack) {
+                     std::vector<const Node*>* /*walk_stack*/) {
   if (analysis.parse.source_bytes < 512 ||
       analysis.parse.source_bytes > 2 * 1024 * 1024) {
     return false;
   }
-  return ast_eligible(analysis, walk_stack);
+  return ast_eligible(analysis);
 }
 
 namespace {
 
-bool eligibility_node(const Node& node) {
-  switch (node.kind) {
+bool eligibility_kind(NodeKind kind) {
+  switch (kind) {
     // Conditional control-flow nodes (paper footnote 2).
     case NodeKind::kDoWhileStatement:
     case NodeKind::kWhileStatement:
@@ -70,34 +69,14 @@ bool eligibility_node(const Node& node) {
 
 }  // namespace
 
-bool ast_eligible(const ScriptAnalysis& analysis,
-                  std::vector<const Node*>* walk_stack) {
+bool ast_eligible(const ScriptAnalysis& analysis) {
   // Any qualifying node anywhere in the tree decides the answer, so the
-  // walk returns at the first hit — typical scripts qualify within the
-  // first few statements, where the previous implementation always
-  // visited every node. Explicit stack: expression-chain depth is not
-  // bounded by the parser's statement recursion guard.
-  const Node* root = analysis.parse.ast.root();
-  if (root == nullptr) return false;
-  std::vector<const Node*> local_stack;
-  std::vector<const Node*>& stack =
-      walk_stack != nullptr ? *walk_stack : local_stack;
-  stack.clear();
-  stack.push_back(root);
-  bool eligible = false;
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (eligibility_node(*node)) {
-      eligible = true;
-      break;
-    }
-    for (std::size_t i = node->kids.size(); i > 0; --i) {
-      if (node->kids[i - 1] != nullptr) stack.push_back(node->kids[i - 1]);
-    }
+  // scan of the pre-order index's kinds stops at the first hit — typical
+  // scripts qualify within the first few statements.
+  for (const NodeKind kind : analysis.parse.ast.kinds()) {
+    if (eligibility_kind(kind)) return true;
   }
-  stack.clear();
-  return eligible;
+  return false;
 }
 
 }  // namespace jst

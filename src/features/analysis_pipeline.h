@@ -53,14 +53,13 @@ ScriptAnalysis analyze_script(std::string_view source,
 // The paper's script-eligibility filter (§III-D1): between 512 bytes and
 // 2 MB, and the AST contains at least one conditional control-flow node,
 // function node, or CallExpression. `ast_eligible` checks only the AST
-// half so callers can report *which* criterion failed. The walk stops at
-// the first qualifying node; `walk_stack`, when non-null, is a reusable
-// traversal stack (batch callers hand one from their scratch so the
-// check allocates nothing).
+// half so callers can report *which* criterion failed. The check scans
+// the AST's pre-order index and stops at the first qualifying node.
+// `walk_stack` is unused; the parameter is kept for the benchmark callers
+// that pass ExtractScratch::eligibility_stack.
 bool script_eligible(const ScriptAnalysis& analysis,
                      std::vector<const Node*>* walk_stack = nullptr);
 bool size_eligible(std::string_view source);
-bool ast_eligible(const ScriptAnalysis& analysis,
-                  std::vector<const Node*>* walk_stack = nullptr);
+bool ast_eligible(const ScriptAnalysis& analysis);
 
 }  // namespace jst

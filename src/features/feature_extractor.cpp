@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-
-#include "ast/walk.h"
+#include <span>
 
 namespace jst::features {
 
@@ -43,59 +42,53 @@ const std::vector<float>& extract_into(const ScriptAnalysis& analysis,
                                        ExtractScratch& scratch) {
   ++scratch.uses;
   scratch.row.clear();
-  const Node* root = analysis.parse.ast.root();
+  // Scans of the AST's pre-order index (DESIGN.md §12): depth comes from
+  // depths(), the n-gram bytes from kinds(), and only the hand-picked
+  // counters touch the Nodes.
+  const Ast& ast = analysis.parse.ast;
+  const std::span<const NodeKind> kinds = ast.kinds();
 
   constexpr std::size_t n = kNgramOrder;
   const std::size_t hash_dim = config.ngram.hash_dim;
   const bool want_handpicked = config.use_handpicked;
   const bool want_ngrams = config.use_ngrams && hash_dim > 0;
 
-  ExtractCounters& counters = scratch.counters;
-  support::AtomTable& atoms = analysis.parse.ast.atoms();
+  std::size_t max_depth = 0;
   if (want_handpicked) {
-    counters.reset(atoms.size());
+    ExtractCounters& counters = scratch.counters;
+    counters.reset(ast.atoms().size());
     scratch.level_counts.clear();
+    const std::span<const Node* const> nodes = ast.nodes();
+    const std::span<const std::uint32_t> depths = ast.depths();
+    for (std::size_t id = 0; id < kinds.size(); ++id) {
+      gather_handpicked(*nodes[id], ast, counters);
+      const std::size_t depth = depths[id];
+      if (depth > max_depth) {
+        max_depth = depth;
+        scratch.level_counts.resize(depth, 0);
+      }
+      ++scratch.level_counts[depth - 1];
+    }
   }
   if (want_ngrams) {
     scratch.ngram_histogram.assign(hash_dim, 0.0f);
     scratch.fnv_ring.fill(0);
-  }
-
-  std::size_t max_depth = 0;
-  std::size_t node_index = 0;
-  if (root != nullptr && (want_handpicked || want_ngrams)) {
-    for_each_preorder_depth(
-        root, scratch.walk_stack,
-        [&](const Node& node, std::size_t depth) {
-          if (want_handpicked) {
-            gather_handpicked(node, atoms, counters);
-            if (depth > max_depth) max_depth = depth;
-            const std::size_t level = depth - 1;
-            if (level >= scratch.level_counts.size()) {
-              scratch.level_counts.resize(level + 1, 0);
-            }
-            ++scratch.level_counts[level];
-          }
-          if (want_ngrams) {
-            // Ring of FNV-1a partial states, one per in-flight window:
-            // the slot for the window starting at this node resets to the
-            // offset basis, every slot absorbs this node's kind byte, and
-            // the window that just saw its n-th byte emits. Windows emit
-            // in pre-order window order, so the float histogram
-            // increments in the same order for every caller.
-            const auto byte = static_cast<std::uint8_t>(node.kind);
-            scratch.fnv_ring[node_index % n] = kFnvOffsetBasis;
-            for (std::uint64_t& hash : scratch.fnv_ring) {
-              hash = (hash ^ byte) * kFnvPrime;
-            }
-            if (node_index + 1 >= n) {
-              ++scratch
-                    .ngram_histogram[scratch.fnv_ring[(node_index + 1) % n] %
-                                     hash_dim];
-            }
-          }
-          ++node_index;
-        });
+    for (std::size_t id = 0; id < kinds.size(); ++id) {
+      // Ring of FNV-1a partial states, one per in-flight window: the slot
+      // for the window starting at this node resets to the offset basis,
+      // every slot absorbs this node's kind byte, and the window that
+      // just saw its n-th byte emits. Windows emit in pre-order window
+      // order, so the float histogram increments in the same order for
+      // every caller.
+      const auto byte = static_cast<std::uint8_t>(kinds[id]);
+      scratch.fnv_ring[id % n] = kFnvOffsetBasis;
+      for (std::uint64_t& hash : scratch.fnv_ring) {
+        hash = (hash ^ byte) * kFnvPrime;
+      }
+      if (id + 1 >= n) {
+        ++scratch.ngram_histogram[scratch.fnv_ring[(id + 1) % n] % hash_dim];
+      }
+    }
   }
 
   if (want_handpicked) {
@@ -104,10 +97,11 @@ const std::vector<float>& extract_into(const ScriptAnalysis& analysis,
             ? 0
             : *std::max_element(scratch.level_counts.begin(),
                                 scratch.level_counts.end());
-    assemble_handpicked(analysis, counters, max_depth, breadth, scratch.row);
+    assemble_handpicked(analysis, scratch.counters, max_depth, breadth,
+                        scratch.row);
   }
   if (want_ngrams) {
-    const std::size_t windows = node_index >= n ? node_index - n + 1 : 0;
+    const std::size_t windows = kinds.size() >= n ? kinds.size() - n + 1 : 0;
     if (windows > 0) {
       const float scale = 1.0f / static_cast<float>(windows);
       for (float& value : scratch.ngram_histogram) value *= scale;

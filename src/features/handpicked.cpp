@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <span>
 #include <string_view>
 
-#include "ast/walk.h"
 #include "support/stats.h"
 #include "support/strings.h"
 
@@ -127,12 +127,15 @@ bool is_infinite_loop(const Node& node) {
   return false;
 }
 
-bool contains_switch_statement(const Node& body) {
-  bool found = false;
-  for_each_preorder(&body, [&found](const Node& node) {
-    if (node.kind == NodeKind::kSwitchStatement) found = true;
-  });
-  return found;
+// Whether the subtree at `body` holds a SwitchStatement: a scan of its
+// ids in the pre-order index.
+bool contains_switch_statement(const Ast& ast, const Node& body) {
+  const std::span<const NodeKind> kinds = ast.kinds();
+  const std::uint32_t end = ast.ends()[body.id];
+  for (std::uint32_t id = body.id; id < end; ++id) {
+    if (kinds[id] == NodeKind::kSwitchStatement) return true;
+  }
+  return false;
 }
 
 double safe_div(double a, double b) { return b == 0.0 ? 0.0 : a / b; }
@@ -141,7 +144,7 @@ double log1p_scaled(double v) { return std::log1p(std::max(0.0, v)); }
 
 }  // namespace
 
-void gather_handpicked(const Node& node, support::AtomTable& atoms,
+void gather_handpicked(const Node& node, const Ast& ast,
                        ExtractCounters& c) {
   ++c.nodes;
   switch (node.kind) {
@@ -156,7 +159,7 @@ void gather_handpicked(const Node& node, support::AtomTable& atoms,
       // stragglers are interned into the same id space on first sight.
       c.see_identifier_atom(node.atom != support::AtomTable::kNoAtom
                                 ? node.atom
-                                : atoms.intern(name));
+                                : ast.atoms().intern(name));
       break;
     }
     case NodeKind::kLiteral:
@@ -342,7 +345,7 @@ void gather_handpicked(const Node& node, support::AtomTable& atoms,
       case NodeKind::kForStatement: body = node.kid(3); break;
       default: break;
     }
-    if (body != nullptr && contains_switch_statement(*body)) {
+    if (body != nullptr && contains_switch_statement(ast, *body)) {
       ++c.switch_in_loop;
     }
   }

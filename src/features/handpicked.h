@@ -26,10 +26,11 @@ namespace jst::features {
 // assemble_handpicked() emits the values.
 const std::vector<std::string>& handpicked_feature_names();
 
-// Per-node counter update, driven by the single-pass extractor
-// (feature_extractor.cpp) from its own walk. Must be called once per node
-// in pre-order; `atoms` is the table of the Ast the node belongs to.
-void gather_handpicked(const Node& node, support::AtomTable& atoms,
+// Per-node counter update, driven by the extractor's scan of the pre-order
+// index (feature_extractor.cpp). Must be called once per node in
+// pre-order; `ast` is the finalized tree the node belongs to (its atom
+// table and index).
+void gather_handpicked(const Node& node, const Ast& ast,
                        ExtractCounters& counters);
 
 // Assembles the hand-picked feature block from gathered counters plus the

@@ -152,8 +152,6 @@ struct ExtractCounters {
 // Everything the fused single-pass extractor reuses across scripts.
 struct ExtractScratch {
   ExtractCounters counters;
-  // Traversal stack for for_each_preorder_depth.
-  std::vector<std::pair<const Node*, std::size_t>> walk_stack;
   // Nodes per depth level (tree breadth).
   std::vector<std::size_t> level_counts;
   // FNV-1a partial hash states, one per in-flight n-gram window.
@@ -169,7 +167,9 @@ struct ExtractScratch {
   // CFG builder workspace (edge list, statement-walk stacks, CSR arrays),
   // threaded through AnalysisOptions::cfg_scratch alongside `dataflow`.
   CfgScratch cfg;
-  // Early-exit traversal stack for script_eligible / ast_eligible.
+  // Unused since ast_eligible scans the pre-order index; kept for the
+  // benchmark callers that still pass it to script_eligible, and never
+  // grown, so it holds no capacity.
   std::vector<const Node*> eligibility_stack;
   // Number of times this scratch has been handed an extraction; >0 means
   // a reuse (the allocation-free steady state the obs counter tracks).
@@ -177,11 +177,9 @@ struct ExtractScratch {
 
   std::size_t capacity_bytes() const {
     return counters.capacity_bytes() +
-           walk_stack.capacity() * sizeof(walk_stack[0]) +
            level_counts.capacity() * sizeof(std::size_t) +
            (ngram_histogram.capacity() + row.capacity()) * sizeof(float) +
-           dataflow.capacity_bytes() + cfg.capacity_bytes() +
-           eligibility_stack.capacity() * sizeof(const Node*);
+           dataflow.capacity_bytes() + cfg.capacity_bytes();
   }
 };
 

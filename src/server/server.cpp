@@ -200,6 +200,10 @@ void Server::accept_loop(int listen_fd) {
 
 void Server::serve_connection(Connection& connection) {
   std::string buffer;
+  // Leading bytes of `buffer` already searched for a newline: the
+  // unfinished line carried across chunks is never rescanned, so a line
+  // arriving in many small reads costs time linear in its length.
+  std::size_t scanned = 0;
   char chunk[64 * 1024];
   bool open = true;
   while (open && !connection.stop_reading) {
@@ -209,7 +213,7 @@ void Server::serve_connection(Connection& connection) {
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
     for (;;) {
-      const std::size_t newline = buffer.find('\n', start);
+      const std::size_t newline = buffer.find('\n', std::max(start, scanned));
       if (newline == std::string::npos) break;
       std::string line = buffer.substr(start, newline - start);
       start = newline + 1;
@@ -221,6 +225,7 @@ void Server::serve_connection(Connection& connection) {
       }
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
   }
   // Every admitted request must be answered before the fd can be closed;
   // see the Connection invariant above.

@@ -29,13 +29,12 @@ std::vector<float> ngram_features(const Node* root, const NgramConfig& config) {
 
 std::vector<float> handpicked_features(const ScriptAnalysis& analysis) {
   const Node* root = analysis.parse.ast.root();
-  support::AtomTable& atoms = analysis.parse.ast.atoms();
   ExtractCounters counters;
   // The library dedups identifiers by atom id; the oracle counts distinct
   // spellings on its own, so the two are compared rather than shared.
   std::unordered_set<std::string_view> spellings;
   walk_preorder(root, [&](const Node& node) {
-    gather_handpicked(node, atoms, counters);
+    gather_handpicked(node, analysis.parse.ast, counters);
     if (node.kind == NodeKind::kIdentifier) spellings.insert(node.str_value);
   });
   counters.unique_identifiers = spellings.size();

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "analysis/dataset.h"
 #include "ast/ast.h"
 #include "ast/walk.h"
+#include "codegen/codegen.h"
 #include "parser/parser.h"
+#include "support/rng.h"
+#include "transform/transform.h"
 
 namespace jst {
 namespace {
@@ -176,6 +183,180 @@ TEST(Ast, MoveSemantics) {
   EXPECT_EQ(moved.node_count(), count);
   ASSERT_NE(moved.root(), nullptr);
   EXPECT_EQ(moved.root()->kind, NodeKind::kProgram);
+}
+
+
+// --- pre-order index --------------------------------------------------------
+
+// Checks the index of a finalized tree against the tree itself: the node
+// column is exactly the pre-order walk (walk.h, independent of finalize),
+// ids and kinds agree with the Nodes, and each node's kids tile its id
+// range — the first kid at id + 1, each next kid at the previous kid's
+// end, the node's end at its last kid's — which makes ends[id] - id the
+// subtree size. Linear, so it runs on JSFuck-sized trees.
+void expect_index_matches_tree(const Ast& ast) {
+  const std::span<const NodeKind> kinds = ast.kinds();
+  const std::span<const std::uint32_t> ends = ast.ends();
+  const std::span<const std::uint32_t> depths = ast.depths();
+  const std::span<const Node* const> nodes = ast.nodes();
+  std::vector<const Node*> preorder;
+  walk_preorder(static_cast<const Node*>(ast.root()),
+                [&](const Node& node) { preorder.push_back(&node); });
+  ASSERT_EQ(ast.node_count(), preorder.size());
+  ASSERT_EQ(kinds.size(), preorder.size());
+  ASSERT_EQ(ends.size(), preorder.size());
+  ASSERT_EQ(depths.size(), preorder.size());
+  ASSERT_EQ(nodes.size(), preorder.size());
+  if (preorder.empty()) return;
+  EXPECT_EQ(depths[0], 1u);
+  EXPECT_EQ(ends[0], preorder.size());
+  for (std::uint32_t id = 0; id < nodes.size(); ++id) {
+    const Node* node = nodes[id];
+    ASSERT_EQ(node, preorder[id]) << "id " << id;
+    ASSERT_EQ(node->id, id);
+    ASSERT_EQ(kinds[id], node->kind) << "id " << id;
+    std::uint32_t next = id + 1;
+    for (const Node* kid : node->kids) {
+      if (kid == nullptr) continue;
+      ASSERT_EQ(kid->id, next) << "kid of id " << id;
+      ASSERT_EQ(depths[kid->id], depths[id] + 1) << "kid of id " << id;
+      ASSERT_EQ(kid->parent, node);
+      next = ends[kid->id];
+    }
+    ASSERT_EQ(ends[id], next) << "id " << id;
+  }
+}
+
+// Kinds, extents and depths of two finalized trees agree entry for entry.
+void expect_same_index(const Ast& actual, const Ast& expected) {
+  ASSERT_EQ(actual.node_count(), expected.node_count());
+  for (std::size_t id = 0; id < expected.node_count(); ++id) {
+    ASSERT_EQ(actual.kinds()[id], expected.kinds()[id]) << "id " << id;
+    ASSERT_EQ(actual.ends()[id], expected.ends()[id]) << "id " << id;
+    ASSERT_EQ(actual.depths()[id], expected.depths()[id]) << "id " << id;
+  }
+}
+
+TEST(PreorderIndex, SmallTreeSubtreeSizes) {
+  const ParseResult result = parse_program("var a = f(1) + g(x.y, [2]);");
+  expect_index_matches_tree(result.ast);
+  for (std::uint32_t id = 0; id < result.ast.node_count(); ++id) {
+    EXPECT_EQ(result.ast.ends()[id] - id,
+              count_nodes(result.ast.nodes()[id]));
+  }
+  EXPECT_EQ(result.ast.kinds()[0], NodeKind::kProgram);
+}
+
+TEST(PreorderIndex, MatchesTreeOnCorpusAndEveryTechnique) {
+  analysis::CorpusSpec spec;
+  spec.regular_count = 12;
+  spec.seed = 1717;
+  const std::vector<std::string> regular =
+      analysis::generate_regular_corpus(spec);
+  std::vector<std::string> sources = regular;
+  Rng rng(4242);
+  std::size_t base = 0;
+  for (const transform::Technique technique : transform::all_techniques()) {
+    for (int round = 0; round < 2; ++round) {
+      sources.push_back(analysis::make_transformed_sample(
+                            regular[base++ % regular.size()], technique, rng)
+                            .source);
+    }
+  }
+  sources.push_back(transform::pack(regular[0], rng));
+  // A JSFuck encoding of a whole script, well past the clipped default.
+  transform::NoAlnumOptions jsfuck;
+  jsfuck.max_source_bytes = 2048;
+  sources.push_back(transform::no_alnum_transform(regular[1], jsfuck));
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    SCOPED_TRACE("source " + std::to_string(i));
+    const ParseResult result = parse_program(sources[i]);
+    expect_index_matches_tree(result.ast);
+  }
+}
+
+TEST(PreorderIndex, NullKidSlotsAreSkipped) {
+  // Array holes, the optional for-clauses, a missing else and a try
+  // without finally all leave nullptr kid slots.
+  const ParseResult result = parse_program(
+      "var a = [1, , 3, , ]; for (;;) { break; } if (a) b(); "
+      "try { c(); } catch (e) {} let [, x] = a;");
+  expect_index_matches_tree(result.ast);
+  std::size_t holes = 0;
+  walk_preorder(static_cast<const Node*>(result.ast.root()),
+                [&](const Node& node) {
+                  for (const Node* kid : node.kids) holes += kid == nullptr;
+                });
+  EXPECT_GE(holes, 8u);
+}
+
+TEST(PreorderIndex, EmptyTreeAndEmptyProgram) {
+  Ast unrooted;
+  EXPECT_EQ(unrooted.finalize(), 0u);
+  EXPECT_TRUE(unrooted.kinds().empty());
+  EXPECT_TRUE(unrooted.ends().empty());
+  EXPECT_TRUE(unrooted.depths().empty());
+  EXPECT_TRUE(unrooted.nodes().empty());
+
+  // An empty script still has its Program root: a one-entry index.
+  const ParseResult empty = parse_program("");
+  expect_index_matches_tree(empty.ast);
+  ASSERT_EQ(empty.ast.kinds().size(), 1u);
+  EXPECT_EQ(empty.ast.kinds()[0], NodeKind::kProgram);
+  EXPECT_EQ(empty.ast.ends()[0], 1u);
+  EXPECT_EQ(empty.ast.depths()[0], 1u);
+}
+
+TEST(PreorderIndex, TreeOfAnotherAstGrowsTheIndexMidWalk) {
+  const ParseResult source =
+      parse_program("f(1, 2, 3, [4, 5, [6, 7]], {a: 8, b: [9]});");
+  // `borrower` made no nodes, so finalize() starts with one slot and must
+  // grow while its walk is under way.
+  Ast borrower;
+  borrower.set_root(source.ast.root());
+  EXPECT_EQ(borrower.finalize(), source.ast.node_count());
+  expect_index_matches_tree(borrower);
+  expect_same_index(borrower, source.ast);
+}
+
+TEST(PreorderIndex, RefinalizeAfterMutationMatchesFreshParse) {
+  ParseResult result = parse_program(
+      "function f(a) { if (a) { return a + 1; } return g(a); }\n"
+      "var x = f(2) ? [1, 2] : {k: 3};\n"
+      "while (x) { x = x - 1; }\n");
+  Ast& ast = result.ast;
+  Node* program = ast.root();
+  // Structural edits: duplicate the function, drop the loop, and replace
+  // the conditional's consequent with a deeper expression.
+  program->kids.push_back(ast.clone(program->kids[0]));
+  program->kids.erase(program->kids.begin() + 2);
+  Node* conditional = program->kids[1]->kids[0]->kids[1];
+  ASSERT_EQ(conditional->kind, NodeKind::kConditionalExpression);
+  Node* call = ast.make(NodeKind::kCallExpression);
+  call->kids = {ast.make_identifier("h"), conditional->kids[1]};
+  conditional->kids[1] = call;
+  ast.finalize();
+  expect_index_matches_tree(ast);
+  const ParseResult fresh = parse_program(to_source(program));
+  expect_same_index(ast, fresh.ast);
+}
+
+TEST(PreorderIndex, RefinalizeReusesArenaStorage) {
+  ParseResult result = parse_program(
+      "var a = [1, 2, 3]; function f(x) { return x ? a[x] : f(x - 1); }");
+  Ast& ast = result.ast;
+  ast.finalize();
+  const std::size_t peak = ast.arena().peak_bytes();
+  Node* program = ast.root();
+  for (int round = 0; round < 200; ++round) {
+    // A structural mutation that makes no node: rotate the statements.
+    Node* first = program->kids[0];
+    program->kids.erase(program->kids.begin());
+    program->kids.push_back(first);
+    ast.finalize();
+  }
+  EXPECT_EQ(ast.arena().peak_bytes(), peak);
+  expect_index_matches_tree(ast);
 }
 
 }  // namespace

@@ -438,6 +438,38 @@ TEST(ServiceCache, SecondPassHitsAreByteIdentical) {
   EXPECT_EQ(warm.stats.total, cold.stats.total);
 }
 
+// A hit's stored timings describe the analysis that filled the entry, so
+// BatchStats counts it in cache_hits, keeps it out of the stage sums, and
+// samples its served cost (the lookup) for the percentiles.
+TEST(ServiceCache, WarmBatchStatsCountHitsAtLookupCost) {
+  analysis::ResultCache cache({});
+  const analysis::AnalyzerService service(shared_analyzer(), &cache);
+  const std::vector<analysis::AnalyzeRequest> requests =
+      analysis::make_source_requests(seed_corpus());
+  analysis::BatchOptions serial;
+  serial.threads = 1;
+  const analysis::BatchResponse cold = service.analyze_batch(requests, serial);
+  const analysis::BatchResponse warm = service.analyze_batch(requests, serial);
+
+  EXPECT_EQ(cold.stats.cache_hits, 0u);
+  EXPECT_GT(cold.stats.total_script_ms, 0.0);
+  EXPECT_GT(cold.stats.stage_ms_sum(), 0.0);
+
+  EXPECT_EQ(warm.stats.cache_hits, requests.size());
+  EXPECT_EQ(warm.stats.total, requests.size());
+  EXPECT_EQ(warm.stats.static_analysis_ms, 0.0);
+  EXPECT_EQ(warm.stats.features_ms, 0.0);
+  EXPECT_EQ(warm.stats.inference_ms, 0.0);
+  EXPECT_EQ(warm.stats.total_script_ms, 0.0);
+  EXPECT_LE(warm.stats.p50_script_ms, cold.stats.p50_script_ms);
+  // The field is appended last, after every pre-existing one.
+  const std::string json = warm.stats.to_json();
+  const std::string tail =
+      "\"cache_hits\":" + std::to_string(requests.size()) + "}";
+  ASSERT_GE(json.size(), tail.size());
+  EXPECT_EQ(json.substr(json.size() - tail.size()), tail) << json;
+}
+
 void expect_cache_on_off_bit_identical(std::size_t threads) {
   analysis::ResultCache cache({});
   const analysis::AnalyzerService cached(shared_analyzer(), &cache);

@@ -17,6 +17,7 @@
 #include "analysis/service.h"
 #include "corpus/generator.h"
 #include "corpus/snippets.h"
+#include "features/analysis_pipeline.h"
 #include "features/feature_extractor.h"
 #include "parser/parser.h"
 #include "support/rng.h"
@@ -189,6 +190,93 @@ analysis::ScriptOutcome analyze_source(const analysis::AnalyzerService& service,
   return service
       .analyze(analysis::AnalyzeRequest::for_source(std::move(source)), limits)
       .outcome;
+}
+
+// --- Hostile shapes through the index scans, ungoverned -------------------
+//
+// CFG, data flow, the eligibility check and feature extraction scan the
+// AST's pre-order index (DESIGN.md §12) instead of walking kid pointers.
+// With no ResourceLimits attached, a deep tree and a million-node chain
+// must complete: under the asan/ubsan presets this shows the scans use no
+// native recursion and read only inside the index.
+
+struct ScanOutcome {
+  std::size_t cfg_edges = 0;
+  bool dataflow_completed = false;
+  bool eligible = false;
+  std::size_t feature_count = 0;
+};
+
+ScanOutcome run_index_scans(ScriptAnalysis& analysis) {
+  const Ast& ast = analysis.parse.ast;
+  analysis.control_flow = build_control_flow(ast);
+  analysis.data_flow = build_data_flow(ast);
+  features::FeatureConfig config;
+  config.ngram.hash_dim = 64;
+  features::ExtractScratch scratch;
+  ScanOutcome outcome;
+  outcome.cfg_edges = analysis.control_flow.edge_count();
+  outcome.dataflow_completed = analysis.data_flow.completed;
+  outcome.eligible = ast_eligible(analysis);
+  outcome.feature_count =
+      features::extract_into(analysis, config, scratch).size();
+  EXPECT_EQ(outcome.feature_count, features::feature_dimension(config));
+  return outcome;
+}
+
+TEST(HostileShapes, DeepNestingThroughIndexScans) {
+  // deeply_nested(5000) itself stops at the parser's recursion guard
+  // (ParseError without a budget), and parentheses make no AST nodes, so
+  // the 5000 levels are built directly: each a conditional nested in its
+  // parent's consequent, over a function whose body holds one more
+  // conditional. One ExpressionStatement holds the whole chain, so the
+  // conditional scan runs 5000 levels deep.
+  constexpr std::size_t kDepth = 5000;
+  ScriptAnalysis analysis;
+  Ast& ast = analysis.parse.ast;
+  Node* program = ast.make(NodeKind::kProgram);
+  Node* statement = ast.make(NodeKind::kExpressionStatement);
+  program->kids = {statement};
+  Node* slot = statement;
+  for (std::size_t level = 0; level < kDepth; ++level) {
+    Node* conditional = ast.make(NodeKind::kConditionalExpression);
+    Node* alternate = ast.make(NodeKind::kArrayExpression);
+    alternate->kids = {ast.make_identifier("b"), nullptr};
+    conditional->kids = {ast.make_identifier("a"), nullptr, alternate};
+    slot->kids.push_back(conditional);
+    slot = conditional;
+  }
+  Node* inner = ast.make(NodeKind::kConditionalExpression);
+  inner->kids = {ast.make_identifier("a"), ast.make_identifier("b"),
+                 ast.make_identifier("c")};
+  Node* ret = ast.make(NodeKind::kReturnStatement);
+  ret->kids = {inner};
+  Node* body = ast.make(NodeKind::kBlockStatement);
+  body->kids = {ret};
+  Node* function = ast.make(NodeKind::kFunctionExpression);
+  function->kids = {nullptr, body};
+  slot->kids[1] = function;
+  ast.set_root(program);
+  ASSERT_GT(ast.finalize(), 4 * kDepth);
+  ASSERT_EQ(ast.depths()[function->id], kDepth + 3);
+
+  const ScanOutcome outcome = run_index_scans(analysis);
+  // statement -> outermost, each level -> the next, return -> inner.
+  EXPECT_GE(outcome.cfg_edges, kDepth + 1);
+  EXPECT_TRUE(outcome.dataflow_completed);
+  EXPECT_TRUE(outcome.eligible);
+}
+
+TEST(HostileShapes, MillionNodeChainThroughIndexScans) {
+  // x = []+[]+…: a left-deep BinaryExpression chain two nodes per term.
+  ScriptAnalysis analysis;
+  analysis.parse = parse_program(jsfuck_blob(500'000));
+  ASSERT_GE(analysis.parse.ast.node_count(), 1'000'000u);
+  const ScanOutcome outcome = run_index_scans(analysis);
+  EXPECT_TRUE(outcome.dataflow_completed);
+  EXPECT_FALSE(outcome.eligible);  // no call, branch or function anywhere
+  // `x` is undeclared: its one write is the only unresolved reference.
+  EXPECT_EQ(analysis.data_flow.unresolved_uses, 1u);
 }
 
 TEST(HostileInputs, SourceBytesCeilingTripsOnMegabyteLiteral) {

@@ -12,11 +12,16 @@
 //    with explicit kOverloaded responses, and drains on shutdown
 //    without abandoning admitted requests.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -601,6 +606,71 @@ TEST_F(ServerFixture, PingMetricsAndHttpScrape) {
   server::Client scraper(daemon_->socket_path());
   const std::string head = scraper.call_raw("GET /metrics HTTP/1.0");
   EXPECT_NE(head.find("HTTP/1.0 200 OK"), std::string::npos);
+}
+
+// A request line that reaches the daemon in many small writes is
+// reassembled and answered once, with the response the same line gets
+// when it is sent in one write.
+TEST_F(ServerFixture, LineSplitAcrossSmallWritesIsAnsweredOnce) {
+  StartServer("split", server::ServerConfig{});
+  analysis::AnalyzeRequest request =
+      analysis::AnalyzeRequest::for_source(padded_source('s', 6000), "split");
+  request.detail = analysis::OutputDetail::kStatus;
+  const std::string line = analysis::wire::analyze_request_json(request);
+
+  server::Client whole(daemon_->socket_path());
+  std::string error;
+  const auto single = analysis::wire::parse_analyze_response(
+      whole.call_raw(line), &error);
+  ASSERT_TRUE(single.has_value()) << error;
+  ASSERT_TRUE(single->ok());
+
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  const std::string path = daemon_->socket_path();
+  ASSERT_LT(path.size(), sizeof(address.sun_path));
+  std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  // 61-byte pieces with a pause between them, so the daemon reads the
+  // line as ~100 chunks; a ping follows to show nothing else is answered.
+  const std::string stream = line + "\n{\"op\":\"ping\"}\n";
+  const std::size_t split_end = line.size() + 1;
+  for (std::size_t at = 0; at < stream.size();) {
+    const std::size_t piece =
+        at < split_end ? std::min<std::size_t>(61, split_end - at)
+                       : stream.size() - at;
+    ASSERT_EQ(::send(fd, stream.data() + at, piece, MSG_NOSIGNAL),
+              static_cast<ssize_t>(piece));
+    at += piece;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  std::string received;
+  char chunk[4096];
+  while (std::count(received.begin(), received.end(), '\n') < 2) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0) << "daemon closed before answering";
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  // Ops are answered inline and requests by workers, so the two lines
+  // may arrive in either order.
+  std::vector<std::string> lines = split_lines(received);
+  ASSERT_EQ(lines.size(), 2u);
+  if (lines[0].find("\"op\":\"ping\"") != std::string::npos) {
+    std::swap(lines[0], lines[1]);
+  }
+  EXPECT_NE(lines[1].find("\"op\":\"ping\""), std::string::npos)
+      << lines[1];
+  const auto split = analysis::wire::parse_analyze_response(lines[0], &error);
+  ASSERT_TRUE(split.has_value()) << error;
+  EXPECT_EQ(split->status, single->status);
+  EXPECT_EQ(split->id, single->id);
+  EXPECT_EQ(split->source_hash, single->source_hash);
+  EXPECT_EQ(split->outcome_status, single->outcome_status);
 }
 
 TEST_F(ServerFixture, MalformedLineAnswersInvalidRequest) {
